@@ -129,7 +129,8 @@ class _LocalElliptic(_LocalPlace):
             else:
                 g = EllipticFunction.x(E) ** ((s - 3) // 2) * EllipticFunction.y(E)
             v = g.valuation_at(self.place)
-            assert v == -s
+            if v != -s:
+                raise ArithmeticError(f"witness has pole order {-v} at the origin, not {s}")
             lam = g.laurent_at(self.place, v + 1).leading()
             return g, lam
         x0, y0 = self.place.representative

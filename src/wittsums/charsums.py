@@ -621,10 +621,17 @@ def sweep_kumar(p: int, l: int, m: int, deg0: int, deg1: int) -> list[BoundRepor
     All-constant instances are skipped (the bound is undefined there)."""
     if l != 2:
         raise ValueError("the sweep is wired for two digits (l = 2)")
-    add, mul, tr, teich, p_idx, zero_idx, elems, index = _ring_tables(p, l, m)
-    R = get_galois_ring(p, l, m)
-    q = R.residue_field.q
+    q = p**m
     n0, n1 = deg0 + 1, deg1 + 1
+    if q ** (n0 + n1) > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"sweep size {q}^{n0 + n1} exceeds cap {ENUMERATION_CAP}"
+        )
+    if p ** (2 * l * m) > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"ring tables of size {p ** (l * m)}^2 exceed cap {ENUMERATION_CAP}"
+        )
+    add, mul, tr, teich, p_idx, zero_idx, elems, index = _ring_tables(p, l, m)
     shape = (q,) * (n0 + n1)
     grids = np.indices(shape, dtype=np.int32).reshape(n0 + n1, -1)
     c0 = [teich[grids[k]] for k in range(n0)]           # f_0 coefficients

@@ -10,14 +10,36 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import sympy
-
 #: hard ceiling on field size; table construction is O(q) in memory.
 FIELD_SIZE_CAP = 1 << 23
 
 
 class FieldCapError(ValueError):
     """Requested field exceeds the desk-scale enumeration cap."""
+
+
+def primefactors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending, by trial division
+    (enough here: every n factored is below the field cap)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def isprime(n: int) -> bool:
+    """Trial division; a characteristic above the field cap is refused
+    rather than factored, since no field of it can be built."""
+    if n > FIELD_SIZE_CAP:
+        raise FieldCapError(f"characteristic {n} exceeds cap {FIELD_SIZE_CAP}")
+    return n >= 2 and primefactors(n) == [n]
 
 
 def _code_to_coeffs(code: int, p: int, m: int) -> list[int]:
@@ -79,7 +101,7 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
         t = _poly_pow_mod(t, p, coeffs, p)
     if t != x:
         return False
-    for r in sorted(set(sympy.primefactors(m))):
+    for r in primefactors(m):
         t = x
         for _ in range(m // r):
             t = _poly_pow_mod(t, p, coeffs, p)
@@ -137,7 +159,7 @@ class FiniteField:
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
-        if not sympy.isprime(p):
+        if not isprime(p):
             raise ValueError(f"p={p} is not prime")
         if m < 1:
             raise ValueError("m must be >= 1")
@@ -164,7 +186,7 @@ class FiniteField:
         p, m, q = self.p, self.m, self.q
         mod = list(self.modulus)
         # find a generator of the multiplicative group
-        factors = sympy.primefactors(q - 1) if q > 2 else []
+        factors = primefactors(q - 1) if q > 2 else []
         gen = None
         for cand in range(p if m > 1 else 2, q):
             cc = _code_to_coeffs(cand, p, m)

@@ -188,7 +188,8 @@ class GaloisRing:
         for _ in range(self.m):
             acc = self.add(acc, cur)
             cur = self.frobenius(cur)
-        assert all(c == 0 for c in acc[1:]), "trace left the prime subring"
+        if any(acc[1:]):
+            raise ArithmeticError("trace left the prime subring")
         return acc[0]
 
     def additive_character(self, b=None):
@@ -265,7 +266,8 @@ class GaloisRingEmbedding:
             if big.is_zero(fx):
                 return r
             r = big.sub(r, big.mul(fx, big.inv(evalMprime(r))))
-        assert big.is_zero(evalM(r))
+        if not big.is_zero(evalM(r)):
+            raise ArithmeticError("Hensel lifting did not converge to a root")
         return r
 
     def __call__(self, x):
@@ -295,7 +297,8 @@ class GaloisRingEmbedding:
     def section(self, y):
         """Express an element of the image back in small-ring coordinates."""
         if self.small.m == 1:
-            assert all(c == 0 for c in y[1:]), "element not in the prime subring"
+            if any(y[1:]):
+                raise ArithmeticError("element not in the prime subring")
             return (y[0],)
         if self._trace_solver is None:
             self._trace_solver = _LinearSection(
@@ -335,7 +338,8 @@ class _LinearSection:
                 if A[i][c] % self.p != 0:
                     sel = i
                     break
-            assert sel is not None, "embedding matrix not full rank"
+            if sel is None:
+                raise ArithmeticError("embedding matrix not full rank")
             A[r], A[sel] = A[sel], A[r]
             ops[r], ops[sel] = ops[sel], ops[r]
             inv = pow(A[r][c], -1, self.pl)
@@ -359,7 +363,8 @@ class _LinearSection:
         # consistency: remaining rows must vanish
         for r in range(self.ncols, len(self.ops)):
             v = sum(o * yy for o, yy in zip(self.ops[r], y)) % pl
-            assert v == 0, "element not in the embedded subring"
+            if v:
+                raise ArithmeticError("element not in the embedded subring")
         return sol
 
 

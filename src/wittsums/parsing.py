@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import ast
 
-import sympy
-
 from .elliptic import EllipticCurve, EllipticFunction
 from .fields import FiniteField
 from .galois_rings import GaloisRing
 from .rational import RationalFunction
+from .witt import _padd, _pmul, _ppow
 
 
 class ParseError(ValueError):
@@ -200,23 +199,48 @@ def parse_gr_polynomial(text: str, ring: GaloisRing) -> list:
     return result.coeffs if result.coeffs else [ring.zero()]
 
 
+class _IntPoly:
+    """Integer polynomial in x, y (a dict from (deg_x, deg_y) to a nonzero
+    int) for reading curve equations."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __add__(self, other):
+        return _IntPoly(_padd(self.terms, other.terms))
+
+    def __sub__(self, other):
+        return _IntPoly(_padd(self.terms, other.terms, -1))
+
+    def __neg__(self):
+        return _IntPoly(_padd({}, self.terms, -1))
+
+    def __mul__(self, other):
+        return _IntPoly(_pmul(self.terms, other.terms))
+
+    def __pow__(self, n):
+        if n < 0:
+            raise ParseError("negative powers are not polynomials")
+        return _IntPoly(_ppow(self.terms, n, {(0, 0): 1}))
+
+    def __truediv__(self, other):
+        raise ParseError("division is not allowed in a curve equation")
+
+
 def parse_curve(text: str, field: FiniteField) -> EllipticCurve:
     """A long Weierstrass equation, e.g. 'y^2 + y = x^3 + x + 1'."""
     if "=" not in text:
         raise ParseError("curve specification needs '='")
     lhs, rhs = text.split("=", 1)
-    x, y = sympy.symbols("x y")
-    try:
-        expr = sympy.expand(
-            sympy.sympify(lhs.replace("^", "**")) - sympy.sympify(rhs.replace("^", "**"))
-        )
-    except (sympy.SympifyError, TypeError) as exc:
-        raise ParseError(f"cannot parse curve {text!r}: {exc}") from None
-    poly = sympy.Poly(expr, x, y)
+    env = {"x": _IntPoly({(1, 0): 1}), "y": _IntPoly({(0, 1): 1})}
+
+    def from_int(n):
+        return _IntPoly({(0, 0): n} if n else {})
+
+    coeff = (parse_expression(lhs, env, from_int) - parse_expression(rhs, env, from_int)).terms
     p = field.p
-    coeff = {}
-    for (ex, ey), c in zip(poly.monoms(), poly.coeffs()):
-        coeff[(ex, ey)] = int(c)
     allowed = {(0, 2), (1, 1), (0, 1), (3, 0), (2, 0), (1, 0), (0, 0)}
     if set(coeff) - allowed:
         raise ParseError("not a Weierstrass equation")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .fields import FiniteField
+from .fields import FiniteField, primefactors
 
 
 class Poly:
@@ -339,9 +339,7 @@ def irreducibles_of_degree(field: FiniteField, d: int):
         if h != x % f:
             continue
         ok = True
-        import sympy
-
-        for r in sympy.primefactors(d):
+        for r in primefactors(d):
             h = x.pow_mod(field.q ** (d // r), f)
             if not f.gcd(h - x).is_constant():
                 ok = False

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import sympy
+from .fields import isprime
 
 MAX_LENGTH = 4  # universal polynomial size grows too fast beyond this
 
@@ -22,46 +22,78 @@ class WittParams:
     l: int
 
     def __post_init__(self):
-        if not sympy.isprime(self.p):
+        if not isprime(self.p):
             raise ValueError(f"p={self.p} is not prime")
         if not 1 <= self.l <= MAX_LENGTH:
             raise ValueError(f"length l={self.l} outside supported range 1..{MAX_LENGTH}")
 
 
-def _ghost(vars_, p, i):
-    return sum(p**j * vars_[j] ** (p ** (i - j)) for j in range(i + 1))
+# Integer polynomials are dicts from exponent tuples to nonzero int
+# coefficients; here the variables are X_0..X_{l-1}, Y_0..Y_{l-1}, and the
+# curve parser uses the same helpers in x, y.
 
 
-def _solve_recursion(p, l, target):
-    """Solve w_i(result) = target_i over the integers; returns sympy exprs."""
-    rs = []
-    xs = sympy.symbols(f"r0:{l}")
-    for i in range(l):
-        expr = target(i) - sum(
-            p**j * rs[j] ** (p ** (i - j)) for j in range(i)
-        )
-        expr = sympy.expand(expr)
-        # exact division by p^i, coefficient-wise
-        poly = sympy.Poly(expr, *_all_symbols(expr)) if expr.free_symbols else None
-        if poly is None:
-            val = int(expr)
-            assert val % (p**i) == 0
-            rs.append(sympy.Integer(val // p**i))
+def _padd(a: dict, b: dict, scale: int = 1) -> dict:
+    """a + scale * b."""
+    out = dict(a)
+    for e, c in b.items():
+        c = out.get(e, 0) + scale * c
+        if c:
+            out[e] = c
         else:
-            terms = poly.terms()
-            new = 0
-            gens = poly.gens
-            for exps, coeff in terms:
-                c = int(coeff)
-                assert c % (p**i) == 0, "ghost recursion not integral"
-                mon = sympy.prod([g**e for g, e in zip(gens, exps)])
-                new += (c // p**i) * mon
-            rs.append(sympy.expand(new))
-    return rs
+            out.pop(e, None)
+    return out
 
 
-def _all_symbols(expr):
-    return sorted(expr.free_symbols, key=lambda s: s.name)
+def _pmul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ppow(a: dict, n: int, one: dict) -> dict:
+    """a^n by square-and-multiply."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = _pmul(acc, a)
+        n >>= 1
+        if n:
+            a = _pmul(a, a)
+    return acc
+
+
+def _ghost(p: int, n: int, first: int, nvars: int) -> dict:
+    """w_n = sum_{j<=n} p^j Z_j^(p^(n-j)) in the variables Z_j = first + j."""
+    out = {}
+    for j in range(n + 1):
+        e = [0] * nvars
+        e[first + j] = p ** (n - j)
+        out[tuple(e)] = p**j
+    return out
+
+
+def _solve_ghost(p: int, targets, one: dict) -> list[dict]:
+    """The integer polynomials S_0..S_{l-1} with ghost components
+    w_n(S) = targets[n], from S_n = (targets[n] - sum_{j<n} p^j S_j^(p^(n-j))) / p^n."""
+    S: list[dict] = []
+    for n, rest in enumerate(targets):
+        for j, s in enumerate(S):
+            rest = _padd(rest, _ppow(s, p ** (n - j), one), -(p**j))
+        pn = p**n
+        if any(c % pn for c in rest.values()):
+            raise ArithmeticError(f"ghost recursion not integral at p={p}, n={n}")
+        S.append({e: c // pn for e, c in rest.items()})
+    return S
+
+
+def _terms_mod_p(poly: dict, p: int) -> tuple:
+    """(coeff mod p, exponents) terms, exponents in descending lex order:
+    the order fixes the order of operations in `_eval_terms`."""
+    return tuple((c % p, e) for e, c in sorted(poly.items(), reverse=True) if c % p)
 
 
 @lru_cache(maxsize=None)
@@ -72,45 +104,21 @@ def compute_universal_polys(p: int, l: int) -> "UniversalWittPolys":
     the 2l variables X_0..X_{l-1}, Y_0..Y_{l-1} (negation uses only the X's).
     """
     WittParams(p, l)  # validate
-    xs = sympy.symbols(f"x0:{l}")
-    ys = sympy.symbols(f"y0:{l}")
+    nvars = 2 * l
+    one = {(0,) * nvars: 1}
+    wx = [_ghost(p, n, 0, nvars) for n in range(l)]
+    wy = [_ghost(p, n, l, nvars) for n in range(l)]
 
-    def to_terms(expr, vars_, reduce_mod_p):
-        expr = sympy.expand(expr)
-        if expr == 0:
-            return ()
-        poly = sympy.Poly(expr, *vars_)
-        out = []
-        for exps, coeff in poly.terms():
-            c = int(coeff) % p if reduce_mod_p else int(coeff)
-            if c:
-                out.append((c, tuple(int(e) for e in exps)))
-        return tuple(out)
+    def polys(targets):
+        return tuple(_terms_mod_p(s, p) for s in _solve_ghost(p, targets, one))
 
-    s_exprs = _solve_recursion(p, l, lambda i: _ghost(xs, p, i) + _ghost(ys, p, i))
-    m_exprs = _solve_recursion(p, l, lambda i: _ghost(xs, p, i) * _ghost(ys, p, i))
-    n_exprs = _solve_recursion(p, l, lambda i: -_ghost(xs, p, i))
-    allvars = tuple(xs) + tuple(ys)
-    sums = tuple(to_terms(e, allvars, True) for e in s_exprs)
-    prods = tuple(to_terms(e, allvars, True) for e in m_exprs)
-    negs = tuple(to_terms(e, allvars, True) for e in n_exprs)
-    sums_z = tuple(to_terms(e, allvars, False) for e in s_exprs)
-    prods_z = tuple(to_terms(e, allvars, False) for e in m_exprs)
     return UniversalWittPolys(
-        p=p, l=l, sums=sums, prods=prods, negs=negs, sums_z=sums_z, prods_z=prods_z
+        p=p,
+        l=l,
+        sums=polys([_padd(a, b) for a, b in zip(wx, wy)]),
+        prods=polys([_pmul(a, b) for a, b in zip(wx, wy)]),
+        negs=polys([_padd({}, a, -1) for a in wx]),
     )
-
-
-def eval_integer_terms(terms, vals) -> int:
-    """Evaluate an un-reduced (integer) term list at integer arguments."""
-    acc = 0
-    for coeff, exps in terms:
-        t = coeff
-        for idx, e in enumerate(exps):
-            if e:
-                t *= vals[idx] ** e
-        acc += t
-    return acc
 
 
 @dataclass(frozen=True)
@@ -120,8 +128,6 @@ class UniversalWittPolys:
     sums: tuple
     prods: tuple
     negs: tuple
-    sums_z: tuple
-    prods_z: tuple
 
 
 def _eval_terms(terms, vals, ring):
@@ -247,72 +253,3 @@ class WittVector:
 
     def __repr__(self):
         return f"WittVector({self.coords})"
-
-
-def verschiebung(a: WittVector, k: int = 1) -> WittVector:
-    return a.verschiebung(k)
-
-
-def frobenius(a: WittVector) -> WittVector:
-    return a.frobenius()
-
-
-def witt_add(a: WittVector, b: WittVector) -> WittVector:
-    return a + b
-
-
-def witt_mul(a: WittVector, b: WittVector) -> WittVector:
-    return a * b
-
-
-class IntegerRing:
-    """Z, as a characteristic-0 test ring for ghost-compatibility checks."""
-
-    char = 0
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n):
-        return n
-
-    def is_zero(self, a):
-        return a == 0
-
-    def eq(self, a, b):
-        return a == b
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def pow(self, a, n):
-        return a**n
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("IntegerRing")
-
-
-def ghost_components(p: int, coords) -> tuple[int, ...]:
-    """Ghost map for integer coordinates: w_i = sum p^j a_j^(p^(i-j))."""
-    coords = tuple(coords)
-    if not all(isinstance(c, int) for c in coords):
-        raise TypeError("ghost components are defined over the integers only")
-    return tuple(
-        sum(p**j * coords[j] ** (p ** (i - j)) for j in range(i + 1))
-        for i in range(len(coords))
-    )

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from wittsums.cli import main
 
 
@@ -168,3 +170,25 @@ def test_singular_curve_exit4(capsys):
         ["genus", "--ring", "2,2,1", "--f-witt", "(x,0)", "--curve", "y^2=x^3"],
     )
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # a variable other than x, y in the curve: parse error
+        (["genus", "--ring", "2,2,1", "--f-witt", "(x,0)", "--curve", "y^2+y=x^3+z"], 2),
+        # division in the curve is refused, not truncated to an integer
+        (["genus", "--ring", "2,2,1", "--f-witt", "(x,0)", "--curve", "y^2+y=x^3+x/2"], 2),
+        # 27^8 instances: refused before any table or grid is built
+        (["verify", "kumar", "--ring", "3,2,3", "--degs", "3,3"], 3),
+        # 256^2 instances, but GR(4,8) has 65536 elements: dense 65536^2 tables
+        (["verify", "kumar", "--ring", "2,2,8", "--degs", "0,0"], 3),
+        # all-constant digits: the bound is undefined
+        (["bound", "kumar", "--ring", "2,2,3", "--degs", "0,0"], 4),
+        # a characteristic beyond the field cap is refused, not trial-divided
+        (["sum", "--ring", "1000000000000000000000007,2,1", "--f", "T"], 3),
+    ],
+)
+def test_exit_code_table(capsys, argv, expected):
+    code, out = run(capsys, argv)
+    assert code == expected and out == ""

@@ -13,9 +13,21 @@ from wittsums import (
     get_galois_ring,
     get_gr_embedding,
 )
+from wittsums.fields import FIELD_SIZE_CAP, FieldCapError, isprime, primefactors
 
 
 # -- finite fields ---------------------------------------------------------
+
+
+def test_trial_division_helpers():
+    for n in range(1, 2000):
+        divisors = [d for d in range(2, n + 1) if n % d == 0]
+        primes = [d for d in divisors if all(d % e for e in range(2, d))]
+        assert primefactors(n) == primes
+        assert isprime(n) == (divisors == [n])
+    assert primefactors(FIELD_SIZE_CAP - 1) == [47, 178481]
+    with pytest.raises(FieldCapError):
+        isprime(10**24 + 7)
 
 
 def test_field_axioms_f8_f9():

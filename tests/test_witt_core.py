@@ -1,11 +1,16 @@
 """Witt vector ring arithmetic over finite fields."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wittsums
 from wittsums import WittParams, WittVector, get_field
 
 
@@ -165,3 +170,44 @@ def test_hypothesis_axioms_w2_f4(a, b, c):
     assert x + y == y + x
     assert (x + y) + z == x + (y + z)
     assert x * (y + z) == x * y + x * z
+
+
+def _to_integer(coords, p):
+    """W_4(F_p) -> Z/p^4: sum p^i T(a_i), with T(a) = a^(p^3) mod p^4 the
+    Teichmuller lift (Frobenius is the identity on F_p)."""
+    mod = p**4
+    return sum(p**i * pow(a, p**3, mod) for i, a in enumerate(coords)) % mod
+
+
+def _check_w4_against_integers(p, pairs):
+    F = get_field(p, 1)
+    params = WittParams(p, 4)
+    mod = p**4
+    for a, b in pairs:
+        x, y = WittVector(params, F, a), WittVector(params, F, b)
+        ia, ib = _to_integer(a, p), _to_integer(b, p)
+        assert _to_integer((x + y).coords, p) == (ia + ib) % mod
+        assert _to_integer((x * y).coords, p) == ia * ib % mod
+        assert _to_integer((-x).coords, p) == -ia % mod
+
+
+def test_w4_f2_is_z16_exhaustive():
+    vecs = list(itertools.product(range(2), repeat=4))
+    assert len({_to_integer(v, 2) for v in vecs}) == 16
+    _check_w4_against_integers(2, itertools.product(vecs, repeat=2))
+
+
+def test_w4_f3_is_z81_sampled():
+    rng = random.Random(2024)
+    pairs = [
+        (tuple(rng.randrange(3) for _ in range(4)), tuple(rng.randrange(3) for _ in range(4)))
+        for _ in range(500)
+    ]
+    _check_w4_against_integers(3, pairs)
+
+
+def test_import_leaves_out_sympy():
+    root = os.path.dirname(os.path.dirname(wittsums.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    code = "import sys, wittsums; sys.exit('sympy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
