@@ -10,6 +10,7 @@ verification sweeps for the explicit square-root bounds those objects obey.
 
 from .asw import (
     Conductor,
+    DegenerateInputError,
     ReducedForm,
     artin_reduce_at,
     candidate_pole_places,
@@ -25,7 +26,6 @@ from .charsums import (
     BoundInputs,
     BoundReport,
     CharSumResult,
-    DegenerateInputError,
     LFunctionResult,
     PoleData,
     bound_cor52,

@@ -32,6 +32,10 @@ from .rational import (
 from .witt import WittParams, WittVector
 
 
+class DegenerateInputError(ValueError):
+    """The Witt function induces a degenerate (constant-class) character."""
+
+
 def witt_function(ring, coords) -> WittVector:
     """Build a Witt vector of functions over a function-field ring."""
     coords = tuple(coords)
@@ -347,13 +351,23 @@ def is_nondegenerate(f: WittVector) -> bool:
 
 def genus_of_cover(f: WittVector, base_genus: int) -> int:
     """Genus of the cyclic degree-p^l cover defined by f, via the conductor
-    discriminant formula 2(g_L - 1) = 2 p^l (g_K - 1) + sum over nonzero
-    multiples n*f of their conductor degrees."""
+    discriminant formula 2(g_L - 1) = 2 p^l (g_K - 1) + sum over the
+    characters psi^n, n = 1..p^l-1, of their conductor degrees.
+
+    For n = p^(l-k) u with u a unit, p^(l-k) f = V^(l-k) F^(l-k) f is
+    congruent to V^(l-k) f mod P, and Galois-conjugate characters share
+    their conductor, so psi^n has the conductor of the length-k truncation
+    (f_0, ..., f_(k-1)); exactly p^k - p^(k-1) such n exist.  Raises
+    DegenerateInputError when f_0 lies in k + P(K) (no positive pole order
+    survives reduction), since f then defines no cyclic cover of degree p^l.
+    """
     p, l = f.params.p, f.params.l
-    n = p**l
-    total = 2 * n * (base_genus - 1)
-    for k in range(1, n):
-        total += conductor(f.scalar(k)).degree
+    total = 2 * p**l * (base_genus - 1)
+    for k in range(1, l + 1):
+        degree = conductor(witt_function(f.ring, f.coords[:k])).degree
+        if k == 1 and degree == 0:
+            raise DegenerateInputError("the first coordinate lies in k + P(K)")
+        total += (p**k - p ** (k - 1)) * degree
     if total % 2 or total // 2 + 1 < 0:
         raise ArithmeticError("conductor formula produced an invalid genus")
     return total // 2 + 1

@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .asw import (
+    DegenerateInputError,
     artin_reduce_at,
     candidate_pole_places,
     conductor,
@@ -36,10 +37,6 @@ from .rational import (
     RationalFunctionField,
 )
 from .witt import WittParams, WittVector
-
-
-class DegenerateInputError(ValueError):
-    """The Witt function induces a degenerate (constant-class) character."""
 
 
 # -- the affine-line section --------------------------------------------
@@ -345,8 +342,6 @@ def _sum_points_elliptic(fvec, d, exclusions, big, emb, contrib, counts, pl_mod)
             rcurve = rf.reduced.ring.curve
             rfield = rcurve.field
             remb = None if rfield == big else get_embedding(F.p, rfield.m, big.m)
-            if remb is None and rfield != big:
-                raise AssertionError("reduced form field mismatch")
             digits = tuple(
                 c.eval_at_point(big, remb, x0, y0) for c in rf.reduced.coords
             )

@@ -329,7 +329,6 @@ def cmd_genus(args) -> int:
 def _add_common(sp):
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--out", default=None, help="write output to a file")
-    sp.add_argument("--seed", type=int, default=0, help="random seed (fixed default)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -172,9 +172,6 @@ class EllipticCurve:
         """#E(F_{q^d}) including the point at infinity."""
         return len(self.affine_points(d)[2]) + 1
 
-    def on_curve(self, big: FiniteField, emb, x0: int, y0: int) -> bool:
-        return y0 in self.ys_above(big, emb, x0)
-
     # -- places ---------------------------------------------------------
 
     def origin(self) -> "OriginPlace":
@@ -306,25 +303,34 @@ class AffinePlace:
 def _origin_xy_series(curve: EllipticCurve, prec: int):
     """Expansions of (x, y) at the origin in the parameter t = x/y.
 
-    Solves w + a1*t*w + a3*w^2 = t^3 + a2*t^2*w + a4*t*w^2 + a6*w^3 for
-    w = 1/y by fixed-point iteration, then x = t/w, y = 1/w.
+    Solves w = t^3 - a1*t*w + a2*t^2*w - a3*w^2 + a4*t*w^2 + a6*w^3 for
+    w = 1/y one coefficient at a time, then x = t/w, y = 1/w.  Since w has
+    valuation 3, the coefficient of t^n on the right reads only w_i with
+    i < n; (w^2)_n is kept as a running convolution, and (w^3)_n is its
+    convolution with w.
     """
     F = curve.field
+    add, mul = F.add, F.mul
     wp = prec + 7  # w = 1/y has valuation 3; inversion costs 2*3 terms
-    t = LaurentSeries.t_power(F, 1, wp)
     a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    w = t**3
-    for _ in range(wp):
-        w = (
-            t**3
-            - (t * w).scale(a1)
-            - (w * w).scale(a3)
-            + (t * t * w).scale(a2)
-            + (t * w * w).scale(a4)
-            + (w * w * w).scale(a6)
-        ).truncate(wp)
-    x = (t * w.inverse()).truncate(prec)
-    y = w.inverse().truncate(prec)
+    w, w2 = [0] * wp, [0] * wp
+    for n in range(3, wp):
+        s2 = 0
+        for i in range(3, n - 2):
+            if w[i]:
+                s2 = add(s2, mul(w[i], w[n - i]))
+        s3 = 0
+        for i in range(3, n - 5):
+            if w[i]:
+                s3 = add(s3, mul(w[i], w2[n - i]))
+        w2[n] = s2
+        c = 1 if n == 3 else 0
+        c = F.sub(c, add(mul(a1, w[n - 1]), mul(a3, s2)))
+        c = add(c, add(mul(a2, w[n - 2]), mul(a4, w2[n - 1])))
+        w[n] = add(c, mul(a6, s3))
+    winv = LaurentSeries(F, 0, w, wp).inverse()
+    x = (LaurentSeries.t_power(F, 1, wp) * winv).truncate(prec)
+    y = winv.truncate(prec)
     return x, y
 
 

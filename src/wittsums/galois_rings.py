@@ -376,7 +376,3 @@ def get_galois_ring(p: int, l: int, m: int) -> GaloisRing:
 @lru_cache(maxsize=None)
 def get_gr_embedding(p: int, l: int, m: int, md: int) -> GaloisRingEmbedding:
     return GaloisRingEmbedding(get_galois_ring(p, l, m), get_galois_ring(p, l, md))
-
-
-def teichmuller_lift(a: int, R: GaloisRing):
-    return R.teichmuller(a)

@@ -39,10 +39,6 @@ class Poly:
     def x(cls, field):
         return cls(field, (0, 1))
 
-    @classmethod
-    def monomial(cls, field, c, n):
-        return cls(field, (0,) * n + (c,))
-
     # -- basic queries
 
     @property

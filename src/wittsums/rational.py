@@ -266,17 +266,6 @@ def places_up_to_degree(field: FiniteField, dmax: int) -> list:
     return out
 
 
-def projective_line_points(field: FiniteField, d: int):
-    """Points of P^1 over F_{q^d}: affine codes in the extension plus None
-    for the point at infinity."""
-    if field.q**d > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"point enumeration size {field.q}^{d} exceeds cap {ENUMERATION_CAP}"
-        )
-    big = field if d == 1 else get_field(field.p, field.m * d)
-    return big, [None] + list(range(big.q))
-
-
 class RationalFunctionField:
     """k(x) as a Witt coefficient ring (elements are RationalFunction)."""
 

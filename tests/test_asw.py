@@ -3,7 +3,10 @@ cover genus formula."""
 
 import random
 
+import pytest
+
 from wittsums import (
+    DegenerateInputError,
     EllipticCurve,
     EllipticFunction,
     EllipticFunctionField,
@@ -21,7 +24,10 @@ from wittsums import (
     witt_function,
     wp,
 )
+from wittsums.elliptic import _origin_xy_series
 from wittsums.fields import get_field
+from wittsums.poly import roots_in_field
+from wittsums.series import LaurentSeries
 
 
 def p1_ring(p=2, m=1):
@@ -209,3 +215,164 @@ def test_degree2_place_reduction():
     assert rp == 2  # reduces from order 2p to order... exactly as at (x)
     c = conductor(f)
     assert c.degree == (rp + 1) * 2
+
+
+# -- reference implementations for the fast paths -----------------------------
+
+
+def _cover_total_by_multiples(f, base_genus):
+    """Reference for genus_of_cover: 2(g_L - 1) from the conductor-discriminant
+    sum over every nontrivial multiple n*f, n = 1..p^l-1, each reduced in full."""
+    n = f.params.p ** f.params.l
+    total = 2 * n * (base_genus - 1)
+    multiple = f
+    for _ in range(1, n):
+        total += conductor(multiple).degree
+        multiple = multiple + f
+    return total
+
+
+def _check_cover_total(f, base_genus):
+    """The truncation sum equals the reference total, and genus_of_cover
+    returns its genus, or rejects f when f_0 gives a degenerate character."""
+    p, l = f.params.p, f.params.l
+    conds = [
+        conductor(witt_function(f.ring, f.coords[:k])).degree for k in range(1, l + 1)
+    ]
+    total = 2 * p**l * (base_genus - 1) + sum(
+        (p**k - p ** (k - 1)) * c for k, c in enumerate(conds, 1)
+    )
+    assert total == _cover_total_by_multiples(f, base_genus)
+    if conds[0] == 0:
+        with pytest.raises(DegenerateInputError):
+            genus_of_cover(f, base_genus)
+    else:
+        assert genus_of_cover(f, base_genus) == total // 2 + 1
+
+
+def _irreducible_quadratic(F):
+    for c0 in range(1, F.q):
+        for c1 in range(F.q):
+            pi = Poly(F, (c0, c1, 1))
+            if not roots_in_field(pi):
+                return pi
+    raise AssertionError("no irreducible quadratic")
+
+
+def _random_p1_coord(rng, F, poles):
+    """A sum of c * h^-e over the pole functions h, plus a constant."""
+    acc = RationalFunction.const(F, rng.randrange(F.q))
+    for h in poles:
+        for e in range(1, 3):
+            c = rng.randrange(F.q)
+            if c:
+                acc = acc + (h ** (-e)).scale(c)
+    return acc
+
+
+# (p, m, lengths): the reference sums p^l - 1 full reductions of ever larger
+# multiples, which takes about 25 s for one vector at p = 5, l = 3
+P1_GENUS_CASES = ((2, 1, (1, 2, 3)), (2, 2, (1, 2, 3)), (3, 1, (1, 2, 3)), (5, 1, (1, 2)))
+
+
+@pytest.mark.parametrize("p, m, lengths", P1_GENUS_CASES)
+def test_genus_truncations_match_multiples_p1(p, m, lengths):
+    F = get_field(p, m)
+    K = RationalFunctionField(F)
+    x = RationalFunction.x(F)
+    zero = RationalFunction.zero(F)
+    inv_x = x ** (-1)  # h^-e has its pole at infinity for h = 1/x
+    lin = x - RationalFunction.const(F, 1)
+    quad = RationalFunction.from_poly(_irreducible_quadratic(F))
+    rng = random.Random(f"genus-p1-{p}-{m}")
+    for l in lengths:
+        # degenerate first coordinates: zero, a constant, and an image of P
+        _check_cover_total(witt_function(K, (zero,) * l), 0)
+        _check_cover_total(witt_function(K, (RationalFunction.one(F),) + (x,) * (l - 1)), 0)
+        _check_cover_total(witt_function(K, (x**p - x,) + (inv_x,) * (l - 1)), 0)
+        # poles at infinity, at a rational place, at a degree-2 place, and
+        # (where the reference is cheap) at all three
+        cheap = p**l <= 9
+        pole_sets = [[inv_x], [lin], [quad]] + ([[inv_x, lin, quad]] if cheap else [])
+        for poles in pole_sets:
+            coords = tuple(_random_p1_coord(rng, F, poles) for _ in range(l))
+            _check_cover_total(witt_function(K, coords), 0)
+        # p-divisible pole orders: reduction does work at the place
+        for h in (inv_x, lin, quad) if cheap else (inv_x,):
+            _check_cover_total(witt_function(K, (h ** (-p),) + (h ** (-1),) * (l - 1)), 0)
+
+
+# (a1, a2, a3, a4, a6), p, lengths: the curves of the benchmark's genus-1
+# workload; at l = 3 over F_3 one reference sum takes 5-55 s
+GENUS1_CURVES = (
+    ((0, 0, 1, 0, 0), 2, (2, 3)),
+    ((0, 0, 1, 1, 0), 2, (2, 3)),
+    ((1, 0, 0, 0, 1), 2, (2, 3)),
+    ((1, 1, 0, 0, 1), 2, (2, 3)),
+    ((0, 1, 0, 0, 1), 3, (2,)),
+    ((0, 0, 0, 2, 1), 3, (2,)),
+)
+
+
+@pytest.mark.parametrize("coeffs, p, lengths", GENUS1_CURVES)
+def test_genus_truncations_match_multiples_elliptic(coeffs, p, lengths):
+    E = EllipticCurve(get_field(p, 1), *coeffs)
+    ring = EllipticFunctionField(E)
+    x = EllipticFunction.x(E)
+    y = EllipticFunction.y(E)
+    one = EllipticFunction.one(E)
+    for l in lengths:
+        _check_cover_total(witt_function(ring, (x, y, x + one)[:l]), 1)
+        _check_cover_total(witt_function(ring, (y + x, x, y)[:l]), 1)
+
+
+def _origin_xy_series_fixed_point(curve, prec):
+    """Reference for _origin_xy_series: w = 1/y by fixed-point iteration of
+    w = t^3 - a1*t*w - a3*w^2 + a2*t^2*w + a4*t*w^2 + a6*w^3."""
+    F = curve.field
+    wp = prec + 7
+    t = LaurentSeries.t_power(F, 1, wp)
+    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+    w = t**3
+    for _ in range(wp):
+        w = (
+            t**3
+            - (t * w).scale(a1)
+            - (w * w).scale(a3)
+            + (t * t * w).scale(a2)
+            + (t * w * w).scale(a4)
+            + (w * w * w).scale(a6)
+        ).truncate(wp)
+    x = (t * w.inverse()).truncate(prec)
+    y = w.inverse().truncate(prec)
+    return x, y
+
+
+def _series_key(s):
+    return s.val, s.coeffs, s.prec
+
+
+# (p, m, (a1, a2, a3, a4, a6)): each coefficient is nonzero on some curve
+ORIGIN_CURVES = (
+    (2, 1, (0, 0, 1, 0, 0)),
+    (2, 1, (1, 0, 1, 1, 1)),
+    (3, 1, (1, 1, 1, 1, 1)),
+    (2, 2, (0, 0, 1, 2, 0)),
+    (2, 2, (1, 3, 0, 0, 2)),
+)
+
+
+@pytest.mark.parametrize("p, m, coeffs", ORIGIN_CURVES)
+def test_origin_series_matches_fixed_point(p, m, coeffs):
+    E = EllipticCurve(get_field(p, m), *coeffs)
+    top = 130
+    # exact expansions truncate to exact expansions, so the reference at the
+    # top precision also serves every precision above 16
+    ref = _origin_xy_series_fixed_point(E, top)
+    for prec in range(1, top + 1):
+        if prec <= 16:
+            want = _origin_xy_series_fixed_point(E, prec)
+        else:
+            want = tuple(s.truncate(prec) for s in ref)
+        got = _origin_xy_series(E, prec)
+        assert [_series_key(s) for s in got] == [_series_key(s) for s in want], prec

@@ -187,8 +187,70 @@ def test_singular_curve_exit4(capsys):
         (["bound", "kumar", "--ring", "2,2,3", "--degs", "0,0"], 4),
         # a characteristic beyond the field cap is refused, not trial-divided
         (["sum", "--ring", "1000000000000000000000007,2,1", "--f", "T"], 3),
+        # f0 = 0 and f0 = 1 + 1/x^2 = 1 + P(1/x) give degenerate characters
+        (["genus", "--ring", "2,2,1", "--f-witt", "(0,x^3)"], 4),
+        (["genus", "--ring", "2,2,1", "--f-witt", "(1,1+1/x^2)"], 4),
     ],
 )
 def test_exit_code_table(capsys, argv, expected):
     code, out = run(capsys, argv)
     assert code == expected and out == ""
+
+
+# stdout of `genus`, pinned byte for byte
+GENUS_GOLDEN = [
+    (
+        ["--ring", "2,2,1", "--f-witt", "(x^3,0)"],
+        (
+            '{\n'
+            '  "base_genus": 0,\n'
+            '  "curve": null,\n'
+            '  "f": "(x^3,0)",\n'
+            '  "genus": 6,\n'
+            '  "ring": {\n'
+            '    "l": 2,\n'
+            '    "m": 1,\n'
+            '    "p": 2\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    (
+        ["--ring", "2,3,1", "--curve", "y^2+y=x^3", "--f-witt", "(x,y,x)"],
+        (
+            '{\n'
+            '  "base_genus": 1,\n'
+            '  "curve": "y^2+y=x^3",\n'
+            '  "f": "(x,y,x)",\n'
+            '  "genus": 20,\n'
+            '  "ring": {\n'
+            '    "l": 3,\n'
+            '    "m": 1,\n'
+            '    "p": 2\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    (
+        ["--ring", "3,2,1", "--curve", "y^2=x^3+x^2+1", "--f-witt", "(x,y)"],
+        (
+            '{\n'
+            '  "base_genus": 1,\n'
+            '  "curve": "y^2=x^3+x^2+1",\n'
+            '  "f": "(x,y)",\n'
+            '  "genus": 25,\n'
+            '  "ring": {\n'
+            '    "l": 2,\n'
+            '    "m": 1,\n'
+            '    "p": 3\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", GENUS_GOLDEN)
+def test_genus_golden_output(capsys, args, expected):
+    code, out = run(capsys, ["genus"] + args)
+    assert code == 0 and out == expected
