@@ -3,9 +3,18 @@
 Two sum shapes are supported: sums over the Teichmuller subset of a Galois
 ring GR(p^l, m), and sums over the k_d-points of a curve (P^1 or an
 elliptic model) of an additive character applied to the trace of a Witt
-vector of functions.  Sums are accumulated exactly as cyclotomic integers;
-character exponents are produced through per-extension trace tables so that
-point loops stay cheap.
+vector of functions.  Sums are accumulated exactly as cyclotomic integers,
+from counts of character exponents mod p^l.
+
+A point's exponent is a sum of table lookups, one per Witt digit: the
+per-extension trace table (`_digit_trace_tables`, a numpy array) holds the
+exponent of every digit in every slot, built as the orbit of 1 under
+multiplication by a Teichmuller generator, block by block.  On P^1 each
+coordinate is evaluated over the whole of F_{q^d} at once through the
+field's array operations and the exponents are counted with one bincount;
+only points of non-excluded pole places and the point at infinity take the
+scalar path through a local Artin reduction.  Elliptic point sums still
+loop over the points one at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .asw import (
 )
 from .cyclotomic import CyclotomicInteger
 from .elliptic import EllipticFunctionField, OriginPlace
-from .fields import get_embedding, get_field
+from .fields import _linear_orbit, get_embedding, get_field
 from .galois_rings import GaloisRing, get_galois_ring, get_gr_embedding
 from .poly import Poly, PolynomialRing
 from .rational import (
@@ -111,43 +120,50 @@ def sum_teichmuller(R: GaloisRing, coeffs, twist=None) -> CharSumResult:
 # -- trace tables for point sums -----------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _digit_trace_tables(p: int, l: int, m: int, d: int, twist_key):
-    """contrib[i][a] = character exponent contributed by Witt digit a in
+    """contrib[i, a] = character exponent contributed by Witt digit a in
     slot i, for points with coordinates in F_{p^(m*d)}; exponents add mod
-    p^l across slots because the trace is additive."""
+    p^l across slots because the trace is additive.
+
+    Digit a in slot i stands for p^i [a^(p^-i)], so by Frobenius invariance
+    of the trace its exponent is p^i Tr(sigma^i(b) [a]), b the twist.  With
+    a = g^k, [a] = [g]^k is the orbit of 1 under multiplication by [g], a
+    linear map over Z/p^l, and Tr(c y) is linear in the coordinates of y:
+    each block of the orbit reduces to its l exponents at once.
+    """
     md = m * d
     F = get_field(p, md)
     R = get_galois_ring(p, l, md)
     pl = p**l
-    # Teichmuller lifts of every field code, via powers of a generator
-    teich = [R.zero()] * F.q
-    g = F.exp[1] if F.q > 2 else 1
-    tg = R.teichmuller(g)
-    cur = R.one()
-    for k in range(F.q - 1):
-        teich[F.exp[k]] = cur
-        cur = R.mul(cur, tg)
-    # absolute traces of the power basis, so traces become dot products
-    basis_tr = []
-    for j in range(md):
-        e = tuple(1 if t == j else 0 for t in range(md))
-        basis_tr.append(R.absolute_trace(e))
     if twist_key is None:
         bb = R.one()
     else:
         b = tuple(twist_key)
         bb = b if d == 1 else get_gr_embedding(p, l, m, md)(b)
-    contrib = []
-    for i in range(l):
-        row = [0] * F.q
-        ppow = p**i
-        for a in range(F.q):
-            ai = F.pow(a, p ** ((md - 1) * i))  # inverse Frobenius, i times
-            x = R.scalar_mul(ppow, R.mul(bb, teich[ai]))
-            row[a] = sum(c * t for c, t in zip(x, basis_tr)) % pl
-        contrib.append(tuple(row))
-    return tuple(contrib)
+    basis = [tuple(int(t == j) for t in range(md)) for j in range(md)]
+    basis_tr = [R.absolute_trace(e) for e in basis]
+    # weights[j, i] = p^i Tr(sigma^i(b) e_j), through the basis traces
+    weights = []
+    for e in basis:
+        row, bi = [], bb
+        for i in range(l):
+            if i:
+                bi = R.frobenius(bi)
+            x = R.mul(bi, e)
+            row.append(p**i * sum(c * t for c, t in zip(x, basis_tr)) % pl)
+        weights.append(row)
+    g = F.exp[1] if F.q > 2 else 1
+    tg = R.teichmuller(g)
+    mul_g = [R.mul(tg, e) for e in basis]  # columns of the linear map
+    W = np.array(weights)
+    contrib = np.zeros((l, F.q), dtype=np.int64)
+    k = 0
+    for block in _linear_orbit(list(zip(*mul_g)), R.one(), F.q - 1, pl):
+        contrib[:, F._exp_a[k : k + len(block)]] = (block @ W % pl).T
+        k += len(block)
+    contrib.flags.writeable = False
+    return contrib
 
 
 def _exponent_counts_to_cyclotomic(p, l, counts):
@@ -201,76 +217,55 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None) -> CharS
         )
     else:
         term_count = _sum_points_elliptic(
-            fvec, d, exclusions, big, emb, contrib, counts, pl_mod
+            fvec, d, exclusions, big, emb, contrib.tolist(), counts, pl_mod
         )
     value = _exponent_counts_to_cyclotomic(p, l, counts)
     return CharSumResult.from_value(value, term_count, exclusions)
 
 
-def _eval_digits_direct(coords, x0, big, emb):
-    return tuple(c.eval(x0, big, emb) if emb else c.eval(x0) for c in coords)
-
-
 def _sum_points_p1(fvec, d, exclusions, big, emb, contrib, counts, pl_mod):
+    """Evaluate every coordinate over all of big at once; only the points of
+    pole places outside the exclusions, and the point at infinity, take the
+    scalar path through a local reduction."""
     ring = fvec.ring
     F = ring.field
-    term_count = 0
-    exclude_inf = any(isinstance(e, InfinitePlace) for e in exclusions)
-    excluded_roots = set()
+    xs = np.arange(big.q)
+
+    def on_place(place):
+        pol = place.poly.map_field(emb) if emb else place.poly
+        return pol.eval_array(xs) == 0
+
+    def tally(digits):
+        counts[sum(int(contrib[i, a]) for i, a in enumerate(digits)) % pl_mod] += 1
+
+    free = np.ones(big.q, dtype=bool)
     for e in exclusions:
         if isinstance(e, FinitePlace):
-            pol = e.poly.map_field(emb) if emb else e.poly
-            for x0 in big.elements():
-                if pol.eval(x0) == 0:
-                    excluded_roots.add(x0)
-    # map pole points that are not excluded to their place for local reduction
-    pole_places = [
-        pl_ for pl_ in candidate_pole_places(fvec)
-        if pl_ not in exclusions
-    ]
-    reduced_at = {}
-    point_place = {}
-    for pl_ in pole_places:
-        if isinstance(pl_, InfinitePlace):
+            free &= ~on_place(e)
+    term_count = 0
+    for pl_ in candidate_pole_places(fvec):
+        if isinstance(pl_, InfinitePlace) or pl_ in exclusions or d % pl_.degree:
+            continue  # a place of degree e has k_d-points only when e | d
+        at = free & on_place(pl_)
+        if not at.any():
             continue
-        if d % pl_.degree != 0:
-            continue  # no k_d-points over this place
-        pol = pl_.poly.map_field(emb) if emb else pl_.poly
-        for x0 in big.elements():
-            if pol.eval(x0) == 0:
-                point_place[x0] = pl_
-
-    def reduced_coords(pl_):
-        cached = reduced_at.get(pl_)
-        if cached is None:
-            rf = artin_reduce_at(fvec, pl_)
-            cached = rf.reduced.coords
-            reduced_at[pl_] = cached
-        return cached
-
-    for x0 in big.elements():
-        if x0 in excluded_roots:
-            continue
-        pl_ = point_place.get(x0)
-        if pl_ is None:
-            digits = _eval_digits_direct(fvec.coords, x0, big, emb)
-        else:
-            coords = reduced_coords(pl_)
-            rfield = coords[0].field
-            if rfield == F:
-                remb = emb
-            else:
-                remb = get_embedding(F.p, rfield.m, big.m)
-            digits = tuple(
-                c.eval(x0, big, remb) if remb else c.eval(x0) for c in coords
-            )
-        t = 0
-        for i, a in enumerate(digits):
-            t += contrib[i][a]
-        counts[t % pl_mod] += 1
-        term_count += 1
+        free &= ~at
+        coords = artin_reduce_at(fvec, pl_).reduced.coords
+        rfield = coords[0].field
+        remb = emb if rfield == F else get_embedding(F.p, rfield.m, big.m)
+        for x0 in np.flatnonzero(at).tolist():
+            tally(tuple(c.eval(x0, big, remb) if remb else c.eval(x0) for c in coords))
+            term_count += 1
+    pts = np.flatnonzero(free)
+    t = np.zeros(len(pts), dtype=np.int64)
+    for i, c in enumerate(fvec.coords):
+        if not c.is_zero():  # digit 0 contributes exponent 0
+            t += contrib[i][c.eval_array(pts, big, emb)]
+    for e, n in enumerate(np.bincount(t % pl_mod, minlength=pl_mod).tolist()):
+        counts[e] += n
+    term_count += len(pts)
     # the point at infinity
-    if not exclude_inf:
+    if not any(isinstance(e, InfinitePlace) for e in exclusions):
         inf = InfinitePlace(F)
         has_pole = any(
             (not c.is_zero()) and c.valuation_at(inf) < 0 for c in fvec.coords
@@ -282,11 +277,7 @@ def _sum_points_p1(fvec, d, exclusions, big, emb, contrib, counts, pl_mod):
         base_digits = tuple(
             0 if c.is_zero() else c.laurent_at(inf, 1).coeff(0) for c in coords
         )
-        digits = tuple(emb(a) for a in base_digits) if emb else base_digits
-        t = 0
-        for i, a in enumerate(digits):
-            t += contrib[i][a]
-        counts[t % pl_mod] += 1
+        tally(tuple(emb(a) for a in base_digits) if emb else base_digits)
         term_count += 1
     return term_count
 

@@ -237,9 +237,11 @@ def cmd_verify(args) -> int:
     reports = verify_sweep(family, **params)
     violations = [r for r in reports if not r.passed]
     max_ratio = max((r.ratio for r in reports), default=0.0)
-    rows = [["instance", "abs", "bound", "ratio"]]
-    rows += [[r.instance, repr(r.measured), repr(r.bound), repr(r.ratio)]
-             for r in reports]
+    rows = None
+    if args.format == "csv":
+        rows = [["instance", "abs", "bound", "ratio"]]
+        rows += [[r.instance, repr(r.measured), repr(r.bound), repr(r.ratio)]
+                 for r in reports]
     payload = {
         "family": family,
         "instances": len(reports),

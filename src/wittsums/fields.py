@@ -3,12 +3,17 @@
 Elements are encoded as integers in [0, p^m): the code sum(c_i * p^i)
 stands for the residue class of sum(c_i * x^i) modulo the field's
 irreducible modulus.  All arithmetic goes through exp/log (Zech) tables,
-so individual operations are O(1) after a one-time O(q) table build.
+so individual operations are O(1) after a one-time O(q) table build.  The
+tables come as Python lists for scalar operations and as numpy arrays for
+the `*_array` operations, which act on whole arrays of codes at once.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+
+import numpy as np
 
 #: hard ceiling on field size; table construction is O(q) in memory.
 FIELD_SIZE_CAP = 1 << 23
@@ -55,6 +60,35 @@ def _coeffs_to_code(coeffs, p: int) -> int:
     for c in reversed(list(coeffs)):
         code = code * p + (c % p)
     return code
+
+
+def _mat_pow_mod(M, n: int, mod: int):
+    res = np.eye(len(M), dtype=M.dtype)
+    while n:
+        if n & 1:
+            res = res @ M % mod
+        M = M @ M % mod
+        n >>= 1
+    return res
+
+
+def _linear_orbit(M, v, n: int, mod: int):
+    """Yield the vectors M^k v mod `mod`, k = 0..n-1, as consecutive row
+    blocks of about sqrt(n) rows: sqrt(n) matrix-vector steps give the
+    first block, and each later block is the previous one times M^s.  A
+    caller reduces each block before asking for the next, so no more than
+    one block is held at a time."""
+    dtype = np.int64 if len(v) * (mod - 1) ** 2 < 2**63 else object
+    M = np.array(M, dtype=dtype)
+    s = math.isqrt(n - 1) + 1  # s * s >= n
+    block = np.empty((s, len(v)), dtype=dtype)
+    block[0] = v
+    for k in range(1, s):
+        block[k] = M @ block[k - 1] % mod
+    step = _mat_pow_mod(M, s, mod).T
+    for start in range(0, n, s):
+        yield block[: n - start]
+        block = block @ step % mod
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
@@ -199,31 +233,32 @@ class FiniteField:
                 break
         if gen is None:  # q == 2
             gen = [1]
-        exp = [0] * (q - 1)
-        log = [0] * q
-        log[0] = -1
-        cur = [1] + [0] * (m - 1)
-        for k in range(q - 1):
-            code = _coeffs_to_code(cur, p)
-            exp[k] = code
-            log[code] = k
-            cur = _poly_mul_mod(cur, gen, mod, p)
-        self.exp = exp
-        self.log = log
-        self.generator = exp[1] if q > 2 else 1
+        # powers of the generator as the orbit of 1 under x -> gen * x,
+        # a linear map on coefficient vectors (column j = gen * x^j)
+        basis = np.eye(m, dtype=np.int64).tolist()
+        mul_gen = np.array([_poly_mul_mod(gen, e, mod, p) for e in basis]).T
+        weights = p ** np.arange(m, dtype=np.int64)
+        exp = np.empty(q - 1, dtype=np.int64)
+        k = 0
+        for block in _linear_orbit(mul_gen, basis[0], q - 1, p):
+            exp[k : k + len(block)] = block @ weights
+            k += len(block)
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        self._exp_a, self._log_a = exp, log
+        self.exp = exp.tolist()
+        self.log = log.tolist()
+        self.generator = self.exp[1] if q > 2 else 1
         if p == 2:
-            self._zech = None
+            self._zech = self._zech_a = None
             self._half = None
         else:
-            # zech[k] = log(1 + g^k); -1 where 1 + g^k == 0
-            plus1 = self._plus_one
-            self._zech = [log[plus1(e)] if plus1(e) else -1 for e in exp]
+            # zech[k] = log(1 + g^k); -1 where 1 + g^k == 0, since log[0] == -1
+            c0 = exp % p
+            self._zech_a = log[exp - c0 + (c0 + 1) % p]
+            self._zech = self._zech_a.tolist()
             self._half = (q - 1) // 2 if q % 2 == 1 else None
         self._minus_one = self.exp[(q - 1) // 2] if p != 2 and q > 2 else 1
-
-    def _plus_one(self, code: int) -> int:
-        c0 = code % self.p
-        return code - c0 + (c0 + 1) % self.p
 
     # -- ring protocol on integer codes ------------------------------------
 
@@ -276,6 +311,29 @@ class FiniteField:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
+
+    # -- the same operations on numpy arrays of codes (or one scalar code)
+
+    def add_array(self, a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        if self.p == 2:
+            return a ^ b
+        n = self.q - 1
+        la, lb = self._log_a[a], self._log_a[b]
+        z = self._zech_a[(lb - la) % n]
+        s = np.where(z < 0, 0, self._exp_a[(la + z) % n])
+        return np.where(a == 0, b, np.where(b == 0, a, s))
+
+    def mul_array(self, a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        prod = self._exp_a[(self._log_a[a] + self._log_a[b]) % (self.q - 1)]
+        return np.where((a == 0) | (b == 0), 0, prod)
+
+    def inv_array(self, a):
+        a = np.asarray(a)
+        if (a == 0).any():
+            raise ZeroDivisionError("inverse of 0")
+        return self._exp_a[-self._log_a[a] % (self.q - 1)]
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:

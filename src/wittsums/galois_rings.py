@@ -26,6 +26,7 @@ class GaloisRing:
         self.residue_field: FiniteField = get_field(p, m)
         self.modulus = tuple(c % self.pl for c in self.residue_field.modulus)
         self._teich_cache: dict[int, tuple[int, ...]] = {}
+        self._frob_basis = None  # images of the basis powers, built on first use
 
     # -- element helpers
 
@@ -177,9 +178,27 @@ class GaloisRing:
     # -- Frobenius and traces
 
     def frobenius(self, x, times: int = 1):
-        """The Frobenius generating Gal(GR/Z_{p^l}): p-th power on digits."""
-        F = self.residue_field
-        return self.from_digits(F.frobenius(a, times) for a in self.witt_digits(x))
+        """The Frobenius generating Gal(GR/Z_{p^l}): p-th power on digits.
+
+        It fixes Z/p^l, so it is the Z/p^l-linear map sending the basis
+        power x^j to phi^j, phi the image of x; phi is found once, on the
+        digits of x."""
+        if self._frob_basis is None:
+            F = self.residue_field
+            gen = self.element([0, 1]) if self.m > 1 else self.one()
+            phi = self.from_digits(F.frobenius(a) for a in self.witt_digits(gen))
+            basis = [self.one()]
+            for _ in range(self.m - 1):
+                basis.append(self.mul(basis[-1], phi))
+            self._frob_basis = basis
+        pl = self.pl
+        for _ in range(times % self.m):  # the Frobenius has order m
+            acc = [0] * self.m
+            for c, image in zip(x, self._frob_basis):
+                if c:
+                    acc = [(a + c * b) % pl for a, b in zip(acc, image)]
+            x = tuple(acc)
+        return x
 
     def absolute_trace(self, x) -> int:
         """Trace down to Z/p^l, returned as an int in [0, p^l)."""

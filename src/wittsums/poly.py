@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .fields import FiniteField, primefactors
 
 
@@ -178,6 +180,17 @@ class Poly:
         acc = 0
         for c in reversed(self.coeffs):
             acc = big.add(big.mul(acc, x), emb(c))
+        return acc
+
+    def eval_array(self, xs, big: FiniteField | None = None, emb=None):
+        """Values at a numpy array of points of `big` (default: the
+        coefficient field), by Horner's rule over the whole array; `emb`
+        maps the coefficients into `big`, once each."""
+        if big is None:
+            big = self.field
+        acc = np.zeros(np.shape(xs), dtype=np.int64)
+        for c in reversed(self.coeffs):
+            acc = big.add_array(big.mul_array(acc, xs), emb(c) if emb else c)
         return acc
 
     def map_field(self, emb) -> "Poly":

@@ -177,6 +177,14 @@ class RationalFunction:
         d = self.den.eval_in(big, emb, x) if emb else self.den.eval(x)
         return big.mul(n, big.inv(d))
 
+    def eval_array(self, xs, big: FiniteField | None = None, emb=None):
+        """Values at a numpy array of points, as `eval` gives them one at a
+        time; raises ZeroDivisionError if any point is a pole."""
+        if big is None:
+            big = self.field
+        num = self.num.eval_array(xs, big, emb)
+        return big.mul_array(num, big.inv_array(self.den.eval_array(xs, big, emb)))
+
     # -- places and valuations
 
     def valuation_at(self, place) -> int:

@@ -254,3 +254,125 @@ GENUS_GOLDEN = [
 def test_genus_golden_output(capsys, args, expected):
     code, out = run(capsys, ["genus"] + args)
     assert code == 0 and out == expected
+
+
+# stdout of `lfun` with d > 1 embedding and a twist, pinned byte for byte
+LFUN_GOLDEN = [
+    (
+        ["--ring", "3,2,2", "--f-witt", "(x,x^2)", "--terms", "4", "--twist", "2"],
+        (
+            '{\n'
+            '  "coefficients": [\n'
+            '    [\n'
+            '      1,\n'
+            '      0,\n'
+            '      0,\n'
+            '      0,\n'
+            '      0,\n'
+            '      0\n'
+            '    ],\n'
+            '    [\n'
+            '      -1,\n'
+            '      1,\n'
+            '      -3,\n'
+            '      -2,\n'
+            '      -1,\n'
+            '      -3\n'
+            '    ],\n'
+            '    [\n'
+            '      0,\n'
+            '      -9,\n'
+            '      0,\n'
+            '      0,\n'
+            '      -9,\n'
+            '      0\n'
+            '    ]\n'
+            '  ],\n'
+            '  "conductor_degree": 4,\n'
+            '  "curve": null,\n'
+            '  "degree": 2,\n'
+            '  "f": "(x,x^2)",\n'
+            '  "inverse_root_moduli": [\n'
+            '    2.999999999999998,\n'
+            '    3.000000000000001\n'
+            '  ],\n'
+            '  "power_sums_abs": [\n'
+            '    5.226681596905678,\n'
+            '    9.318200515432482,\n'
+            '    1.66313277813686,\n'
+            '    75.1711391541938\n'
+            '  ],\n'
+            '  "ring": {\n'
+            '    "l": 2,\n'
+            '    "m": 2,\n'
+            '    "p": 3\n'
+            '  },\n'
+            '  "trailing_zero": true\n'
+            '}\n'
+        ),
+    ),
+    (
+        ["--ring", "2,2,2", "--f-witt", "(x^3,x)", "--terms", "6", "--twist", "3"],
+        (
+            '{\n'
+            '  "coefficients": [\n'
+            '    [\n'
+            '      1,\n'
+            '      0\n'
+            '    ],\n'
+            '    [\n'
+            '      2,\n'
+            '      0\n'
+            '    ],\n'
+            '    [\n'
+            '      4,\n'
+            '      -2\n'
+            '    ],\n'
+            '    [\n'
+            '      4,\n'
+            '      -8\n'
+            '    ],\n'
+            '    [\n'
+            '      0,\n'
+            '      -16\n'
+            '    ],\n'
+            '    [\n'
+            '      0,\n'
+            '      -32\n'
+            '    ]\n'
+            '  ],\n'
+            '  "conductor_degree": 7,\n'
+            '  "curve": null,\n'
+            '  "degree": 5,\n'
+            '  "f": "(x^3,x)",\n'
+            '  "inverse_root_moduli": [\n'
+            '    1.9999999999999978,\n'
+            '    1.9999999999999991,\n'
+            '    1.9999999999999991,\n'
+            '    2.0000000000000004,\n'
+            '    2.000000000000002\n'
+            '  ],\n'
+            '  "power_sums_abs": [\n'
+            '    2.0,\n'
+            '    5.65685424949238,\n'
+            '    12.649110640673518,\n'
+            '    8.0,\n'
+            '    82.365041127896,\n'
+            '    217.6235281397671\n'
+            '  ],\n'
+            '  "ring": {\n'
+            '    "l": 2,\n'
+            '    "m": 2,\n'
+            '    "p": 2\n'
+            '  },\n'
+            '  "trailing_zero": true\n'
+            '}\n'
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", LFUN_GOLDEN, ids=["3,2,2", "2,2,2"])
+def test_lfun_golden_output(capsys, args, expected):
+    code, out = run(capsys, ["lfun"] + args)
+    assert code == 0 and out == expected

@@ -5,6 +5,8 @@ import cmath
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittsums import (
     CyclotomicInteger,
@@ -141,6 +143,24 @@ def test_gr_trace_examples():
                 R.absolute_trace(R.add(x, y))
                 == (R.absolute_trace(x) + R.absolute_trace(y)) % 4
             )
+
+
+def oracle_frobenius(R, x, times=1):
+    """The Frobenius through the Witt digits of x, one lift per digit."""
+    F = R.residue_field
+    return R.from_digits(F.frobenius(a, times) for a in R.witt_digits(x))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    plm=st.sampled_from([(2, 2, 1), (2, 2, 3), (3, 2, 2), (2, 3, 4), (5, 2, 2), (3, 3, 3), (2, 4, 2)]),
+    data=st.data(),
+)
+def test_frobenius_linear_map_matches_digit_oracle(plm, data):
+    R = get_galois_ring(*plm)
+    x = tuple(data.draw(st.lists(st.integers(0, R.pl - 1), min_size=R.m, max_size=R.m)))
+    times = data.draw(st.integers(0, 2 * R.m + 1))
+    assert R.frobenius(x, times) == oracle_frobenius(R, x, times)
 
 
 def test_trace_surjective():
