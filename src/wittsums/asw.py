@@ -105,7 +105,7 @@ class _LocalElliptic(_LocalPlace):
         self.ring = ring
         self.place = place
         self.curve = ring.curve
-        self.field = ring.curve.field
+        self.field = ring.field
         if isinstance(place, AffinePlace):
             if place.degree != 1:
                 raise ValueError("local adapter needs a rational place")
@@ -222,7 +222,7 @@ def artin_reduce_at(f: WittVector, place) -> ReducedForm:
     f, place, ring = _extend_to_rational(f, place)
     local = _local_adapter(ring, place)
     p, l = f.params.p, f.params.l
-    res_field = ring.field if isinstance(ring, RationalFunctionField) else ring.curve.field
+    res_field = ring.field
     r = f
     witness = WittVector.zero(f.params, ring)
     for i in range(l):
@@ -269,8 +269,7 @@ def reduced_pole_order(f: WittVector, place) -> int:
     digits = tuple(
         0 if ring.is_zero(fi) else local.value(fi) for fi in rf.reduced.coords
     )
-    res = ring.field if isinstance(ring, RationalFunctionField) else ring.curve.field
-    R = get_galois_ring(p, l, res.m)
+    R = get_galois_ring(p, l, ring.field.m)
     tr = R.absolute_trace(R.from_digits(digits))
     return -1 if tr % p**l == 0 else 0
 

@@ -9,12 +9,14 @@ from counts of character exponents mod p^l.
 A point's exponent is a sum of table lookups, one per Witt digit: the
 per-extension trace table (`_digit_trace_tables`, a numpy array) holds the
 exponent of every digit in every slot, built as the orbit of 1 under
-multiplication by a Teichmuller generator, block by block.  On P^1 each
-coordinate is evaluated over the whole of F_{q^d} at once through the
-field's array operations and the exponents are counted with one bincount;
-only points of non-excluded pole places and the point at infinity take the
-scalar path through a local Artin reduction.  Elliptic point sums still
-loop over the points one at a time.
+multiplication by a Teichmuller generator, block by block.  One engine sums
+over P^1 and elliptic curves alike: a small curve adapter gives the affine
+points over F_{q^d} as code arrays (x alone on P^1, x and y on an elliptic
+curve), masks for the points of a place, and the base place (infinity or the
+origin).  Each coordinate is evaluated over all points at once through the
+field's array operations and the exponents are counted with one bincount.
+The base place and the places above a denominator's factor are summed once
+per closed point, from one local Artin reduction each.
 """
 
 from __future__ import annotations
@@ -27,16 +29,15 @@ import numpy as np
 from .asw import (
     DegenerateInputError,
     artin_reduce_at,
-    candidate_pole_places,
     conductor,
     is_nondegenerate,
     witt_function,
 )
 from .cyclotomic import CyclotomicInteger
-from .elliptic import EllipticFunctionField, OriginPlace
+from .elliptic import OriginPlace
 from .fields import _linear_orbit, get_embedding, get_field
 from .galois_rings import GaloisRing, get_galois_ring, get_gr_embedding
-from .poly import Poly, PolynomialRing
+from .poly import Poly, PolynomialRing, factor
 from .rational import (
     ENUMERATION_CAP,
     EnumerationCapError,
@@ -177,25 +178,69 @@ def _exponent_counts_to_cyclotomic(p, l, counts):
 # -- point sums over curves ----------------------------------------------
 
 
-def _base_field(ring):
-    if isinstance(ring, RationalFunctionField):
-        return ring.field
-    if isinstance(ring, EllipticFunctionField):
-        return ring.curve.field
-    raise TypeError(f"unsupported function-field ring {ring!r}")
+def _curve_points(fvec, big, emb):
+    """The curve adapter: the affine points over `big` as a tuple of code
+    arrays, the arguments of the coordinates' eval_array ((xs,) on P^1,
+    (xs, ys) on an elliptic curve); a map from a finite place to the mask
+    of its points; the base place (infinity, or the origin); and the places
+    above the irreducible factors of the denominators, where an array
+    evaluation could divide by zero (every pole of f is among them)."""
+    ring = fvec.ring
+    p1 = isinstance(ring, RationalFunctionField)
+    pis = {}
+    for c in fvec.coords:
+        for r in (c,) if p1 else (c.u, c.v):
+            for pi, _ in factor(r.den):
+                pis[(pi.degree, pi.coeffs)] = pi
+    pis = [pi for _, pi in sorted(pis.items())]
+    if p1:
+        xs = np.arange(big.q)
+
+        def on(place):
+            pol = place.poly.map_field(emb) if emb else place.poly
+            return pol.eval_array(xs) == 0
+
+        return (xs,), on, InfinitePlace(ring.field), [FinitePlace(pi) for pi in pis]
+    E = ring.curve
+    xs, ys = E.points_above(big, emb, np.arange(big.q))
+    keys = xs * big.q + ys
+
+    def on(place):
+        return np.isin(keys, [x * big.q + y for x, y in place.points_in(big)])
+
+    return (xs, ys), on, OriginPlace(E), [pl for pi in pis for pl in E.places_above(pi)]
+
+
+def _digits_at(fvec, place):
+    """The Witt digits of f at a place, after reduction at a rational
+    place above it, so that a removable pole is gone; with the degree k of
+    their field F_{q^k} over the base field.  Raises ZeroDivisionError
+    where a pole remains."""
+    rf = artin_reduce_at(fvec, place)
+    digits = []
+    for c in rf.reduced.coords:
+        s = None if c.is_zero() else c.laurent_at(rf.place, 1)
+        if s is not None and s.val < 0:
+            raise ZeroDivisionError(f"a pole at {place!r} outside the exclusions")
+        digits.append(0 if s is None else s.coeff(0))
+    return digits, rf.reduced.ring.field.m // fvec.ring.field.m
 
 
 def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None) -> CharSumResult:
     """Exact sum of psi(Tr(f(P))) over the k_d-points of the curve outside
     the excluded places.
 
-    Exclusions default to the pole support (places with rp > 0).  Points at
-    non-excluded pole places contribute through the locally Artin-reduced
-    representative, whose character value is canonical because P-shifts have
-    character value 1.
+    Exclusions default to the pole support (places with rp > 0).  The
+    affine points off the places above the denominators' factors are
+    evaluated at once, as arrays.  The base place and those places outside
+    the exclusions are summed once per closed point: f is reduced at one
+    rational point of the place, and its value there counts for every
+    point, since P-shifts have character value 1 and the trace is constant
+    on Frobenius orbits.  A value in F_{q^k} has d/k times its exponent
+    over F_{q^k}.
     """
     ring = fvec.ring
-    F = _base_field(ring)
+    F = ring.field
     p, l = fvec.params.p, fvec.params.l
     m = F.m
     if F.q**d > ENUMERATION_CAP:
@@ -208,155 +253,35 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None) -> CharS
     big = F if d == 1 else get_field(p, m * d)
     emb = None if d == 1 else get_embedding(p, m, m * d)
     twist_key = tuple(twist) if twist is not None else None
-    contrib = _digit_trace_tables(p, l, m, d, twist_key)
     pl_mod = p**l
-    counts = [0] * pl_mod
-    if isinstance(ring, RationalFunctionField):
-        term_count = _sum_points_p1(
-            fvec, d, exclusions, big, emb, contrib, counts, pl_mod
-        )
-    else:
-        term_count = _sum_points_elliptic(
-            fvec, d, exclusions, big, emb, contrib.tolist(), counts, pl_mod
-        )
-    value = _exponent_counts_to_cyclotomic(p, l, counts)
-    return CharSumResult.from_value(value, term_count, exclusions)
-
-
-def _sum_points_p1(fvec, d, exclusions, big, emb, contrib, counts, pl_mod):
-    """Evaluate every coordinate over all of big at once; only the points of
-    pole places outside the exclusions, and the point at infinity, take the
-    scalar path through a local reduction."""
-    ring = fvec.ring
-    F = ring.field
-    xs = np.arange(big.q)
-
-    def on_place(place):
-        pol = place.poly.map_field(emb) if emb else place.poly
-        return pol.eval_array(xs) == 0
-
-    def tally(digits):
-        counts[sum(int(contrib[i, a]) for i, a in enumerate(digits)) % pl_mod] += 1
-
-    free = np.ones(big.q, dtype=bool)
+    counts = np.zeros(pl_mod, dtype=np.int64)
+    points, on, base, special = _curve_points(fvec, big, emb)
+    free = np.ones(len(points[0]), dtype=bool)
     for e in exclusions:
-        if isinstance(e, FinitePlace):
-            free &= ~on_place(e)
-    term_count = 0
-    for pl_ in candidate_pole_places(fvec):
-        if isinstance(pl_, InfinitePlace) or pl_ in exclusions or d % pl_.degree:
+        if e != base:
+            free &= ~on(e)
+    summed = [] if base in exclusions else [(base, 1)]
+    for pl_ in special:
+        if pl_ in exclusions or d % pl_.degree:
             continue  # a place of degree e has k_d-points only when e | d
-        at = free & on_place(pl_)
-        if not at.any():
-            continue
-        free &= ~at
-        coords = artin_reduce_at(fvec, pl_).reduced.coords
-        rfield = coords[0].field
-        remb = emb if rfield == F else get_embedding(F.p, rfield.m, big.m)
-        for x0 in np.flatnonzero(at).tolist():
-            tally(tuple(c.eval(x0, big, remb) if remb else c.eval(x0) for c in coords))
-            term_count += 1
-    pts = np.flatnonzero(free)
-    t = np.zeros(len(pts), dtype=np.int64)
+        at = free & on(pl_)
+        if at.any():
+            free &= ~at
+            summed.append((pl_, int(at.sum())))
+    for pl_, n in summed:
+        digits, k = _digits_at(fvec, pl_)
+        contrib_k = _digit_trace_tables(p, l, m, k, twist_key)
+        t = sum(int(contrib_k[i, a]) for i, a in enumerate(digits))
+        counts[t * (d // k) % pl_mod] += n
+    rest = [a[free] for a in points]
+    contrib = _digit_trace_tables(p, l, m, d, twist_key)
+    t = np.zeros(len(rest[0]), dtype=np.int64)
     for i, c in enumerate(fvec.coords):
         if not c.is_zero():  # digit 0 contributes exponent 0
-            t += contrib[i][c.eval_array(pts, big, emb)]
-    for e, n in enumerate(np.bincount(t % pl_mod, minlength=pl_mod).tolist()):
-        counts[e] += n
-    term_count += len(pts)
-    # the point at infinity
-    if not any(isinstance(e, InfinitePlace) for e in exclusions):
-        inf = InfinitePlace(F)
-        has_pole = any(
-            (not c.is_zero()) and c.valuation_at(inf) < 0 for c in fvec.coords
-        )
-        if has_pole:
-            coords = artin_reduce_at(fvec, inf).reduced.coords
-        else:
-            coords = fvec.coords
-        base_digits = tuple(
-            0 if c.is_zero() else c.laurent_at(inf, 1).coeff(0) for c in coords
-        )
-        tally(tuple(emb(a) for a in base_digits) if emb else base_digits)
-        term_count += 1
-    return term_count
-
-
-def _sum_points_elliptic(fvec, d, exclusions, big, emb, contrib, counts, pl_mod):
-    ring = fvec.ring
-    E = ring.curve
-    F = E.field
-    term_count = 0
-    exclude_origin = any(isinstance(e, OriginPlace) for e in exclusions)
-
-    def embedded_orbit(pl_):
-        """The points of a place, as coordinate pairs in the big field."""
-        if pl_.big == big:
-            return set(pl_.orbit)
-        if big.m % pl_.big.m:
-            return set()
-        e2d = get_embedding(F.p, pl_.big.m, big.m)
-        return {(e2d(x), e2d(y)) for (x, y) in pl_.orbit}
-
-    excluded_pts = set()
-    for e in exclusions:
-        if not isinstance(e, OriginPlace):
-            excluded_pts |= embedded_orbit(e)
-    pole_places = [
-        pl_ for pl_ in candidate_pole_places(fvec) if pl_ not in exclusions
-    ]
-    point_place = {}
-    reduced_at = {}
-    for pl_ in pole_places:
-        if isinstance(pl_, OriginPlace):
-            continue
-        for pt in embedded_orbit(pl_):
-            point_place[pt] = pl_
-
-    def reduced_form(pl_):
-        cached = reduced_at.get(pl_)
-        if cached is None:
-            rf = artin_reduce_at(fvec, pl_)
-            cached = rf
-            reduced_at[pl_] = cached
-        return cached
-
-    for x0, y0 in E.affine_points(d)[2]:
-        pt = (x0, y0)
-        if pt in excluded_pts:
-            continue
-        pl_ = point_place.get(pt)
-        if pl_ is None:
-            digits = tuple(c.eval_at_point(big, emb, x0, y0) for c in fvec.coords)
-        else:
-            rf = reduced_form(pl_)
-            rcurve = rf.reduced.ring.curve
-            rfield = rcurve.field
-            remb = None if rfield == big else get_embedding(F.p, rfield.m, big.m)
-            digits = tuple(
-                c.eval_at_point(big, remb, x0, y0) for c in rf.reduced.coords
-            )
-        t = 0
-        for i, a in enumerate(digits):
-            t += contrib[i][a]
-        counts[t % pl_mod] += 1
-        term_count += 1
-    if not exclude_origin:
-        O = OriginPlace(E)
-        has_pole = any(
-            (not c.is_zero()) and c.valuation_at(O) < 0 for c in fvec.coords
-        )
-        coords = artin_reduce_at(fvec, O).reduced.coords if has_pole else fvec.coords
-        base_digits = tuple(
-            0 if c.is_zero() else c.laurent_at(O, 1).coeff(0) for c in coords
-        )
-        digits = tuple(emb(a) for a in base_digits) if emb else base_digits
-        t = 0
-        for i, a in enumerate(digits):
-            t += contrib[i][a]
-        counts[t % pl_mod] += 1
-        term_count += 1
-    return term_count
+            t += contrib[i][c.eval_array(*rest, big, emb)]
+    counts += np.bincount(t % pl_mod, minlength=pl_mod)
+    value = _exponent_counts_to_cyclotomic(p, l, counts.tolist())
+    return CharSumResult.from_value(value, int(counts.sum()), exclusions)
 
 
 # -- the affine-line identity ---------------------------------------------
@@ -388,14 +313,6 @@ class LFunctionResult:
         return [c.complex_value() for c in self.coefficients]
 
 
-def _genus_of_ring(ring) -> int:
-    if isinstance(ring, RationalFunctionField):
-        return 0
-    if isinstance(ring, EllipticFunctionField):
-        return 1
-    raise TypeError(f"unsupported function-field ring {ring!r}")
-
-
 def l_function(fvec: WittVector, terms: int | None = None, twist=None) -> LFunctionResult:
     """The L-polynomial of the character attached to fvec, from exact power
     sums S_d via the Newton recursion n*c_n = sum_d S_d c_(n-d).
@@ -407,7 +324,7 @@ def l_function(fvec: WittVector, terms: int | None = None, twist=None) -> LFunct
     if not is_nondegenerate(fvec):
         raise DegenerateInputError("the first coordinate lies in k + P(K)")
     p, l = fvec.params.p, fvec.params.l
-    g = _genus_of_ring(fvec.ring)
+    g = fvec.ring.genus
     cond = conductor(fvec)
     degree = cond.degree + 2 * g - 2
     n_terms = terms if terms is not None else degree + 2
@@ -475,8 +392,8 @@ def bound_thm31(fvec: WittVector, d: int = 1, base_genus: int | None = None) -> 
     """(2(g-1) + conductor degree) * p^(m d / 2)."""
     if not is_nondegenerate(fvec):
         raise DegenerateInputError("the first coordinate lies in k + P(K)")
-    g = base_genus if base_genus is not None else _genus_of_ring(fvec.ring)
-    F = _base_field(fvec.ring)
+    g = base_genus if base_genus is not None else fvec.ring.genus
+    F = fvec.ring.field
     cond = conductor(fvec)
     return (2 * (g - 1) + cond.degree) * fvec.params.p ** (F.m * d / 2)
 

@@ -90,14 +90,12 @@ def _build_witt_function(args, p, l, m):
         curve = parse_curve(args.curve, F)
         coords = parse_elliptic_vector(args.f_witt, curve)
         ring = EllipticFunctionField(curve)
-        genus = 1
     else:
         coords = parse_rational_vector(args.f_witt, F)
         ring = RationalFunctionField(F)
-        genus = 0
     if len(coords) != l:
         raise ParseError(f"--f-witt has {len(coords)} components, but l = {l}")
-    return witt_function(ring, coords), genus
+    return witt_function(ring, coords), ring.genus
 
 
 def _parse_poles(text: str, l: int):

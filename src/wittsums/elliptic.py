@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .fields import FiniteField, get_embedding, get_field
+import numpy as np
+
+from .fields import FiniteField, get_embedding, get_embedding_over
 from .poly import Poly, factor, roots_in_field
 from .rational import ENUMERATION_CAP, EnumerationCapError, RationalFunction
 from .series import LaurentSeries, PrecisionError, eval_poly_at_series
@@ -21,29 +23,15 @@ MAX_SERIES_PREC = 1 << 16
 
 @lru_cache(maxsize=None)
 def _artin_schreier_table(field: FiniteField):
-    """code of z^2+z -> z, for a char-2 field (one solution per image)."""
-    t = {}
-    for z in field.elements():
-        t.setdefault(field.add(field.mul(z, z), z), z)
+    """t[u] = a solution z of z^2 + z = u over a char-2 field, or -1.
+
+    Codes z and z ^ 1 differ by the element 1 and share the image, so the
+    even codes reach every image exactly once."""
+    z = np.arange(0, field.q, 2)
+    t = np.full(field.q, -1, dtype=np.int64)
+    t[field.add_array(field.mul_array(z, z), z)] = z
+    t.flags.writeable = False
     return t
-
-
-def field_sqrt(field: FiniteField, a: int) -> int | None:
-    """A square root of a, or None if a is a non-square (any characteristic)."""
-    if a == 0:
-        return 0
-    if field.p == 2:
-        return field.pow(a, field.q // 2)  # squaring is bijective
-    if field.log[a] % 2:
-        return None
-    return field.exp[field.log[a] // 2]
-
-
-def solve_artin_schreier_quadratic(field: FiniteField, u: int) -> int | None:
-    """A solution z of z^2 + z = u over a char-2 field, or None."""
-    if field.p != 2:
-        raise ValueError("only defined in characteristic 2")
-    return _artin_schreier_table(field).get(u)
 
 
 class EllipticCurve:
@@ -116,32 +104,36 @@ class EllipticCurve:
 
     # -- points ---------------------------------------------------------
 
-    def ys_above(self, big: FiniteField, emb, x0: int) -> list[int]:
-        """All y in `big` with (x0, y) on the curve; emb embeds constants."""
-        e = emb if emb else (lambda c: c)
-        a1, a2, a3, a4, a6 = (e(c) for c in (self.a1, self.a2, self.a3, self.a4, self.a6))
-        a = big.add(big.mul(a1, x0), a3)  # A(x0)
-        c = big.add(
-            big.add(big.pow(x0, 3), big.mul(a2, big.mul(x0, x0))),
-            big.add(big.mul(a4, x0), a6),
-        )  # B(x0)
-        # y^2 + a*y - c = 0
+    def points_above(self, big: FiniteField, emb, xs):
+        """The affine points over `big` whose x lies in the code array xs,
+        as code arrays (xs, ys) ordered by x, then y; emb embeds the
+        constants (None when big is the curve's field).
+
+        y^2 + A y = B, A = A(x), B = B(x): in characteristic 2 y is the
+        square root of B when A = 0, else y = A z with z^2 + z = B / A^2;
+        in odd characteristic (2y + A)^2 = A^2 + 4B, a square exactly when
+        its log is even."""
+        xs = np.asarray(xs, dtype=np.int64)
+        n, exp, log = big.q - 1, big._exp_a, big._log_a
+        A = self.poly_A().eval_array(xs, big, emb)
+        B = self.poly_B().eval_array(xs, big, emb)
         if big.p == 2:
-            if a == 0:
-                return [field_sqrt(big, c)]
-            z = solve_artin_schreier_quadratic(big, big.mul(c, big.inv(big.mul(a, a))))
-            if z is None:
-                return []
-            y = big.mul(a, z)
-            return sorted({y, big.add(y, a)})
-        # odd characteristic: complete the square, (2y + a)^2 = a^2 + 4c
-        disc = big.add(big.mul(a, a), self._n_in(big, 4, c))
-        s = field_sqrt(big, disc)
-        if s is None:
-            return []
-        inv2 = big.inv(big.from_int(2))
-        ys = {big.mul(big.sub(s, a), inv2), big.mul(big.sub(big.neg(s), a), inv2)}
-        return sorted(ys)
+            # the log of a zero code is -1: the entries it spoils are replaced
+            z = _artin_schreier_table(big)[np.where(B == 0, 0, exp[(log[B] - 2 * log[A]) % n])]
+            ok = (A == 0) | (z >= 0)
+            root_b = np.where(B == 0, 0, exp[log[B] * (big.q // 2) % n])  # y^2 = B
+            y1 = np.where(A == 0, root_b, big.mul_array(A, np.maximum(z, 0)))
+            y2 = y1 ^ A  # the other root, y + A
+        else:
+            disc = big.add_array(big.mul_array(A, A), big.mul_array(B, big.from_int(4)))
+            ok = (disc == 0) | (log[disc] % 2 == 0)
+            s = np.where(disc == 0, 0, exp[log[disc] // 2])
+            half = big.inv(big.from_int(2))
+            y1 = big.add_array(big.mul_array(s, half), big.mul_array(A, big.neg(half)))
+            y2 = big.mul_array(big.add_array(s, A), big.neg(half))
+        lo, hi = np.minimum(y1, y2), np.maximum(y1, y2)
+        count = np.where(ok, np.where(lo == hi, 1, 2), 0)
+        return np.repeat(xs, count), np.stack([lo, hi], axis=1)[np.arange(2) < count[:, None]]
 
     @staticmethod
     def _n_in(big: FiniteField, n: int, a: int) -> int:
@@ -150,23 +142,24 @@ class EllipticCurve:
             acc = big.add(acc, a)
         return acc
 
+    def _extension(self, d: int):
+        """(F_{q^d}, the embedding of F_q into it, or None when d = 1)."""
+        F = self.field
+        if d == 1:
+            return F, None
+        emb = get_embedding(F.p, F.m, F.m * d)
+        return emb.big, emb
+
     def affine_points(self, d: int = 1):
-        """(big field, embedding, list of affine (x, y) codes over F_{q^d})."""
+        """(big field, embedding, xs, ys): the affine points over F_{q^d}
+        as code arrays."""
         F = self.field
         if F.q**d > ENUMERATION_CAP:
             raise EnumerationCapError(
                 f"point enumeration size {F.q}^{d} exceeds cap {ENUMERATION_CAP}"
             )
-        if d == 1:
-            big, emb = F, None
-        else:
-            big = get_field(F.p, F.m * d)
-            emb = get_embedding(F.p, F.m, F.m * d)
-        pts = []
-        for x0 in big.elements():
-            for y0 in self.ys_above(big, emb, x0):
-                pts.append((x0, y0))
-        return big, emb, pts
+        big, emb = self._extension(d)
+        return (big, emb) + self.points_above(big, emb, np.arange(big.q))
 
     def count_points(self, d: int = 1) -> int:
         """#E(F_{q^d}) including the point at infinity."""
@@ -178,34 +171,20 @@ class EllipticCurve:
         return OriginPlace(self)
 
     def places_above(self, pi: Poly) -> list["AffinePlace"]:
-        """The places of the curve lying over a monic irreducible pi(x)."""
-        F = self.field
-        e = pi.degree
-        out = []
-        for ext in (e, 2 * e):
-            if ext == e:
-                if e == 1:
-                    big, emb = F, None
-                else:
-                    big = get_field(F.p, F.m * e)
-                    emb = get_embedding(F.p, F.m, F.m * e)
-                pol = pi.map_field(emb) if emb else pi
-                roots = roots_in_field(pol)
-                x0 = min(roots)
-                ys = self.ys_above(big, emb, x0)
-                if ys:
-                    for y0 in ys:
-                        out.append(AffinePlace.from_point(self, big, emb, x0, y0))
-                    return out
-            else:
-                # inert: the two y's above each root live in F_{q^(2e)}
-                big = get_field(F.p, F.m * ext)
-                emb = get_embedding(F.p, F.m, F.m * ext)
-                x0 = min(roots_in_field(pi.map_field(emb)))
-                ys = self.ys_above(big, emb, x0)
-                out.append(AffinePlace.from_point(self, big, emb, x0, min(ys)))
-                return out
-        raise AssertionError("unreachable")
+        """The places of the curve lying over a monic irreducible pi(x).
+
+        Split or ramified: the points above the least root x0 of pi lie
+        over F_{q^e}, e = deg pi, one place through each.  Inert: none do,
+        and the one place has its two points above x0 over F_{q^2e}."""
+        big, emb = self._extension(pi.degree)
+        x0 = min(roots_in_field(pi.map_field(emb) if emb else pi))
+        ys = self.points_above(big, emb, [x0])[1].tolist()
+        if ys:
+            return [AffinePlace.from_point(self, big, emb, x0, y0) for y0 in ys]
+        big, emb = self._extension(2 * pi.degree)
+        x0 = min(roots_in_field(pi.map_field(emb)))
+        y0 = int(self.points_above(big, emb, [x0])[1][0])
+        return [AffinePlace.from_point(self, big, emb, x0, y0)]
 
     def places_up_to_degree(self, dmax: int) -> list:
         """All places of the curve of degree <= dmax, origin first."""
@@ -217,8 +196,8 @@ class EllipticCurve:
         out: list = [OriginPlace(self)]
         seen = set()
         for d in range(1, dmax + 1):
-            big, emb, pts = self.affine_points(d)
-            for x0, y0 in pts:
+            big, emb, xs, ys = self.affine_points(d)
+            for x0, y0 in zip(xs.tolist(), ys.tolist()):
                 pl = AffinePlace.from_point(self, big, emb, x0, y0)
                 if pl.degree == d and pl not in seen:
                     seen.add(pl)
@@ -276,6 +255,17 @@ class AffinePlace:
     @property
     def degree(self) -> int:
         return len(self.orbit)
+
+    def points_in(self, big: FiniteField) -> list:
+        """The place's points as (x, y) codes in `big`, an extension of the
+        curve's field; none unless big contains the place's field."""
+        if big.m % self.big.m:
+            return []
+        if big == self.big:
+            return list(self.orbit)
+        F = self.curve.field
+        emb = get_embedding_over(F.p, F.m, self.big.m, big.m)
+        return [(emb(x), emb(y)) for x, y in self.orbit]
 
     @property
     def representative(self):
@@ -530,6 +520,17 @@ class EllipticFunction:
         vval = self.v.eval(x0, big, emb) if emb else self.v.eval(x0)
         return big.add(uval, big.mul(vval, y0))
 
+    def eval_array(self, xs, ys, big: FiniteField | None = None, emb=None):
+        """Values at the affine points with code arrays xs, ys, as
+        `eval_at_point` gives them one at a time; raises ZeroDivisionError
+        if u or v has a pole at any x."""
+        if big is None:
+            big = self.curve.field
+        out = self.u.eval_array(xs, big, emb)
+        if self.v.is_zero():
+            return out
+        return big.add_array(out, big.mul_array(self.v.eval_array(xs, big, emb), ys))
+
     def _eval_rat_at_series(self, f: RationalFunction, x_s, emb):
         num = eval_poly_at_series(f.num.coeffs, x_s, emb)
         den = eval_poly_at_series(f.den.coeffs, x_s, emb)
@@ -594,8 +595,11 @@ class EllipticFunction:
 class EllipticFunctionField:
     """The function field of a curve as a Witt coefficient ring."""
 
+    genus = 1
+
     def __init__(self, curve: EllipticCurve):
         self.curve = curve
+        self.field = curve.field
         self.char = curve.field.p
 
     def zero(self):

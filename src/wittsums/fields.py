@@ -433,3 +433,17 @@ def get_field(p: int, m: int) -> FiniteField:
 @lru_cache(maxsize=None)
 def get_embedding(p: int, m: int, md: int) -> FieldEmbedding:
     return FieldEmbedding(get_field(p, m), get_field(p, md))
+
+
+@lru_cache(maxsize=None)
+def get_embedding_over(p: int, m: int, mk: int, md: int):
+    """An embedding F_{p^mk} -> F_{p^md} over F_{p^m}: on F_{p^m}, taken up
+    by get_embedding(p, m, mk), it agrees with get_embedding(p, m, md).
+    get_embedding(p, mk, md) need not, as each embedding picks its root on
+    its own; the two differ by a power of Frobenius, found on a generator."""
+    outer = get_embedding(p, mk, md)
+    big = outer.big
+    g = get_field(p, m).generator
+    a, target = outer(get_embedding(p, m, mk)(g)), get_embedding(p, m, md)(g)
+    j = next(j for j in range(m) if big.frobenius(a, j) == target)
+    return lambda c: big.frobenius(outer(c), j)

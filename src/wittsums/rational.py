@@ -277,6 +277,8 @@ def places_up_to_degree(field: FiniteField, dmax: int) -> list:
 class RationalFunctionField:
     """k(x) as a Witt coefficient ring (elements are RationalFunction)."""
 
+    genus = 0
+
     def __init__(self, field: FiniteField):
         self.field = field
         self.char = field.p

@@ -217,6 +217,23 @@ def test_degree2_place_reduction():
     assert c.degree == (rp + 1) * 2
 
 
+def test_elliptic_degree2_place_conductor_and_genus():
+    """x^2 + x + 1 splits on y^2 + y = x^3 over F_2 into two places of
+    degree 2: reduction there works over F_4, through the ring's field."""
+    E = EllipticCurve(get_field(2, 1), 0, 0, 1, 0, 0)
+    ring = EllipticFunctionField(E)
+    F = ring.field
+    h = RationalFunction.from_poly(Poly(F, (1, 1, 1))).inverse()
+    f = witt_function(
+        ring, (EllipticFunction.x(E) + EllipticFunction.from_rational(E, h), EllipticFunction.zero(E))
+    )
+    c = conductor(f)
+    assert [(pl.degree, n) for pl, n in c.entries] == [(1, 3), (2, 3), (2, 3)]
+    assert c.entries[0][0] == OriginPlace(E) and c.degree == 15
+    _check_cover_total(f, 1)
+    assert genus_of_cover(f, 1) == 21
+
+
 # -- reference implementations for the fast paths -----------------------------
 
 

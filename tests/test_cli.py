@@ -247,6 +247,24 @@ GENUS_GOLDEN = [
             '}\n'
         ),
     ),
+    (
+        # poles at two degree-2 places; the genus is checked against the sum
+        # over all multiples in test_asw.py
+        ["--ring", "2,2,1", "--curve", "y^2+y=x^3", "--f-witt", "(x+1/(x^2+x+1),0)"],
+        (
+            '{\n'
+            '  "base_genus": 1,\n'
+            '  "curve": "y^2+y=x^3",\n'
+            '  "f": "(x+1/(x^2+x+1),0)",\n'
+            '  "genus": 21,\n'
+            '  "ring": {\n'
+            '    "l": 2,\n'
+            '    "m": 1,\n'
+            '    "p": 2\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
 ]
 
 

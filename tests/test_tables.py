@@ -3,8 +3,9 @@
 The oracles below are the element-at-a-time builders the library used
 before: field exp/log/Zech tables by repeated multiplication by the
 generator, digit trace tables by one Galois-ring multiplication and one
-basis-trace dot product per field element, and P^1 point sums by one
-scalar evaluation per point.  Each fast path must agree with them exactly.
+basis-trace dot product per field element, P^1 and elliptic point sums by
+one scalar evaluation per point, and elliptic points by one quadratic
+solved per x.  Each fast path must agree with them exactly.
 """
 
 import pytest
@@ -13,11 +14,25 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from wittsums.asw import artin_reduce_at, candidate_pole_places, witt_function
+from wittsums.asw import (
+    artin_reduce_at,
+    candidate_pole_places,
+    conductor,
+    witt_function,
+    wp,
+)
 from wittsums.charsums import (
     _digit_trace_tables,
     _exponent_counts_to_cyclotomic,
+    l_function,
     sum_witt,
+)
+from wittsums.elliptic import (
+    AffinePlace,
+    EllipticCurve,
+    EllipticFunction,
+    EllipticFunctionField,
+    OriginPlace,
 )
 from wittsums.fields import (
     FiniteField,
@@ -31,7 +46,7 @@ from wittsums.fields import (
     primefactors,
 )
 from wittsums.galois_rings import get_galois_ring, get_gr_embedding
-from wittsums.poly import Poly
+from wittsums.poly import Poly, irreducibles_of_degree
 from wittsums.rational import (
     FinitePlace,
     InfinitePlace,
@@ -157,6 +172,98 @@ def oracle_sum_p1(fvec, d, exclusions, twist_key=None):
     return _exponent_counts_to_cyclotomic(p, l, counts), term_count
 
 
+def oracle_ys_above(E, big, emb, x0):
+    """All y in big with (x0, y) on E, by one quadratic solved in scalars."""
+    e = emb if emb else (lambda c: c)
+    a1, a2, a3, a4, a6 = (e(c) for c in (E.a1, E.a2, E.a3, E.a4, E.a6))
+    a = big.add(big.mul(a1, x0), a3)
+    c = big.add(
+        big.add(big.pow(x0, 3), big.mul(a2, big.mul(x0, x0))),
+        big.add(big.mul(a4, x0), a6),
+    )
+    if big.p == 2:  # y^2 + a y = c
+        if a == 0:
+            return [big.pow(c, big.q // 2)]
+        u = big.mul(c, big.inv(big.mul(a, a)))
+        zs = [z for z in big.elements() if big.add(big.mul(z, z), z) == u]
+        if not zs:
+            return []
+        y = big.mul(a, zs[0])
+        return sorted({y, big.add(y, a)})
+    disc = big.add(big.mul(a, a), big.mul(big.from_int(4), c))  # (2y + a)^2
+    if disc and big.log[disc] % 2:
+        return []
+    s = big.exp[big.log[disc] // 2] if disc else 0
+    inv2 = big.inv(big.from_int(2))
+    return sorted({big.mul(big.sub(s, a), inv2), big.mul(big.sub(big.neg(s), a), inv2)})
+
+
+def oracle_affine_points(E, d):
+    """(big, emb, [(x, y), ...]) over F_{q^d}, one x at a time."""
+    F = E.field
+    big = F if d == 1 else get_field(F.p, F.m * d)
+    emb = None if d == 1 else get_embedding(F.p, F.m, F.m * d)
+    pts = [(x0, y0) for x0 in big.elements() for y0 in oracle_ys_above(E, big, emb, x0)]
+    return big, emb, pts
+
+
+def oracle_sum_elliptic(fvec, d, exclusions, twist_key=None):
+    """(value, term_count) of sum_witt on an elliptic curve, one scalar
+    point at a time.  A place's points are its orbit pushed up by
+    get_embedding, right when the embeddings of the tower agree (as over a
+    prime field); a pole place of degree > 1 outside the exclusions raises,
+    as each conjugate point is evaluated on the form reduced at one root."""
+    E = fvec.ring.curve
+    F = E.field
+    p, l = fvec.params.p, fvec.params.l
+    pl_mod = p**l
+    big, emb, pts = oracle_affine_points(E, d)
+    contrib = oracle_trace_tables(p, l, F.m, d, twist_key)
+    counts = [0] * pl_mod
+
+    def tally(digits):
+        counts[sum(contrib[i][a] for i, a in enumerate(digits)) % pl_mod] += 1
+
+    def embedded_orbit(pl_):
+        if pl_.big == big:
+            return set(pl_.orbit)
+        if big.m % pl_.big.m:
+            return set()
+        e2d = get_embedding(p, pl_.big.m, big.m)
+        return {(e2d(x), e2d(y)) for (x, y) in pl_.orbit}
+
+    excluded = set()
+    for e in exclusions:
+        if not isinstance(e, OriginPlace):
+            excluded |= embedded_orbit(e)
+    point_place = {}
+    for pl_ in candidate_pole_places(fvec):
+        if pl_ not in exclusions and not isinstance(pl_, OriginPlace):
+            for pt in embedded_orbit(pl_):
+                point_place[pt] = pl_
+    term_count = 0
+    for x0, y0 in pts:
+        if (x0, y0) in excluded:
+            continue
+        pl_ = point_place.get((x0, y0))
+        if pl_ is None:
+            coords, remb = fvec.coords, emb
+        else:
+            reduced = artin_reduce_at(fvec, pl_).reduced
+            rfield = reduced.ring.curve.field
+            coords = reduced.coords
+            remb = None if rfield == big else get_embedding(p, rfield.m, big.m)
+        tally(tuple(c.eval_at_point(big, remb, x0, y0) for c in coords))
+        term_count += 1
+    if not any(isinstance(e, OriginPlace) for e in exclusions):
+        O = OriginPlace(E)
+        coords = artin_reduce_at(fvec, O).reduced.coords
+        base = tuple(0 if c.is_zero() else c.laurent_at(O, 1).coeff(0) for c in coords)
+        tally(tuple(emb(a) for a in base) if emb else base)
+        term_count += 1
+    return _exponent_counts_to_cyclotomic(p, l, counts), term_count
+
+
 # -- the orbit helper ----------------------------------------------------------
 
 
@@ -276,6 +383,7 @@ POINT_CASES = [
     (3, 1, [[(2, 1), (-1, 2)], [(1, 1), (-2, 1)]], (1, 2, 4)),
     (3, 2, [[(1, 1), (-1, 5)], [(2, 3)]], (1, 2)),
     (5, 1, [[(1, 2), (-3, 1)]], (1, 2)),
+    (2, 1, [[(-1, 1)], [(-3, 1)]], (1, 2, 3)),  # no pole at infinity
 ]
 
 
@@ -337,3 +445,173 @@ def test_sum_witt_p1_pole_outside_exclusions_raises():
     fvec = _vector(2, 1, [[(1, 1), (-1, 1)]])
     with pytest.raises(ZeroDivisionError):
         sum_witt(fvec, 1, exclusions=[InfinitePlace(F)])
+
+
+def test_sum_witt_p1_removable_pole_at_degree2_place():
+    """(x, x^3) + P((1/(x^2+x+1), 0)) is (x, x^3) up to P(W): the pole at
+    the degree-2 place reduces away, so it is summed, once per closed point,
+    and the L-polynomials agree."""
+    F = get_field(2, 1)
+    K = RationalFunctionField(F)
+    x = RationalFunction.x(F)
+    h = RationalFunction.from_poly(Poly(F, (1, 1, 1))).inverse()
+    base = witt_function(K, [x, x**3])
+    fvec = base + wp(witt_function(K, [h, RationalFunction.zero(F)]))
+    assert FinitePlace(Poly(F, (1, 1, 1))) in candidate_pole_places(fvec)
+    got, want = l_function(fvec), l_function(base)
+    assert got.power_sums == want.power_sums
+    assert got.coefficients == want.coefficients
+
+
+# -- elliptic point sums -------------------------------------------------------
+
+# the six curves of the benchmark's genus-1 workload
+GENUS1_CURVES = [
+    ((0, 0, 1, 0, 0), 2),  # y^2 + y = x^3
+    ((0, 0, 1, 1, 0), 2),  # y^2 + y = x^3 + x
+    ((1, 0, 0, 0, 1), 2),  # y^2 + xy = x^3 + 1
+    ((1, 1, 0, 0, 1), 2),  # y^2 + xy = x^3 + x^2 + 1
+    ((0, 1, 0, 0, 1), 3),  # y^2 = x^3 + x^2 + 1
+    ((0, 0, 0, 2, 1), 3),  # y^2 = x^3 + 2x + 1
+]
+
+
+def _quadratic_place_poly(F):
+    """The least monic irreducible quadratic over F."""
+    return next(iter(irreducibles_of_degree(F, 2)))
+
+
+@pytest.mark.parametrize("coeffs, p", GENUS1_CURVES)
+def test_sum_witt_elliptic_matches_scalar_oracle(coeffs, p):
+    F = get_field(p, 1)
+    E = EllipticCurve(F, *coeffs)
+    ring = EllipticFunctionField(E)
+    x, y = EllipticFunction.x(E), EllipticFunction.y(E)
+    zero = EllipticFunction.zero(E)
+    rat = lambda f: EllipticFunction.from_rational(E, f)  # noqa: E731
+    base = witt_function(ring, [x + y, x])
+    # a pole of order 1 at the places over a degree-2 x: in the conductor
+    h = rat(RationalFunction.from_poly(_quadratic_place_poly(F)).inverse())
+    excluded2 = witt_function(ring, [x + h, zero])
+    # P of a pole at the rational points over x = x0: reduced, not excluded
+    x0 = int(E.affine_points(1)[2][0])
+    g = rat((RationalFunction.x(F) - RationalFunction.const(F, x0)).inverse())
+    removable1 = base + wp(witt_function(ring, [g, zero]))
+    twist = get_galois_ring(p, 2, 1).from_int(p + 1)
+    affine = witt_function(ring, [h, zero])  # the origin is summed
+    cases = [(base, None), (base, twist), (excluded2, None), (removable1, None), (affine, None)]
+    for fvec, tw in cases:
+        excl = list(conductor(fvec).support)
+        for d in range(1, 5):
+            res = sum_witt(fvec, d, exclusions=excl, twist=tw)
+            want = oracle_sum_elliptic(fvec, d, excl, tuple(tw) if tw else None)
+            assert (res.value, res.term_count) == want
+    assert any(pl_.degree >= 2 for pl_ in conductor(excluded2).support)
+    assert OriginPlace(E) not in conductor(affine).support
+    pole1 = [pl_ for pl_ in candidate_pole_places(removable1) if isinstance(pl_, AffinePlace)]
+    assert pole1 and all(pl_.degree == 1 for pl_ in pole1)
+    assert not set(pole1) & set(conductor(removable1).support)
+
+
+def test_sum_witt_elliptic_removable_pole_at_degree2_places():
+    """On y^2 + y = x^3 over F_2, x^2 + x + 1 splits into two places of
+    degree 2; (x, 0) + P((1/(x^2+x+1), 0)) reduces there to (x, 0)."""
+    F = get_field(2, 1)
+    E = EllipticCurve(F, 0, 0, 1, 0, 0)
+    ring = EllipticFunctionField(E)
+    zero = EllipticFunction.zero(E)
+    h = RationalFunction.from_poly(Poly(F, (1, 1, 1))).inverse()
+    base = witt_function(ring, [EllipticFunction.x(E), zero])
+    fvec = base + wp(witt_function(ring, [EllipticFunction.from_rational(E, h), zero]))
+    assert [pl_.degree for pl_ in candidate_pole_places(fvec)] == [1, 2, 2]
+    got, want = l_function(fvec), l_function(base)
+    assert got.power_sums == want.power_sums
+    assert got.coefficients == want.coefficients
+
+
+def test_sum_witt_elliptic_regular_point_over_a_denominator():
+    """y/x on y^2 + y = x^3 has a pole at (0, 1) but not at (0, 0), where
+    its v = 1/x alone has one: that point is valued through its place.
+    The L-polynomial then has exactly the claimed degree."""
+    F = get_field(2, 1)
+    E = EllipticCurve(F, 0, 0, 1, 0, 0)
+    x, y = EllipticFunction.x(E), EllipticFunction.y(E)
+    fvec = witt_function(EllipticFunctionField(E), [x + y / x, EllipticFunction.zero(E)])
+    regular = AffinePlace.from_point(E, F, None, 0, 0)
+    assert regular not in candidate_pole_places(fvec)
+    assert (y / x).valuation_at(regular) > 0
+    res = l_function(fvec)
+    assert res.trailing_zero and res.claimed_degree == 7
+
+
+POINT_CURVES = [(c, p, 1, 4 if p == 2 else 3) for c, p in GENUS1_CURVES] + [
+    ((0, 0, 1, 0, 0), 2, 2, 3),
+    ((0, 1, 0, 0, 1), 3, 2, 2),
+]
+
+
+@pytest.mark.parametrize("coeffs, p, m, dmax", POINT_CURVES)
+def test_points_and_places_match_scalar_solver(coeffs, p, m, dmax):
+    E = EllipticCurve(get_field(p, m), *coeffs)
+    for d in range(1, dmax + 1):
+        big, emb, xs, ys = E.affine_points(d)
+        want = oracle_affine_points(E, d)[2]
+        assert list(zip(xs.tolist(), ys.tolist())) == want
+        assert E.count_points(d) == len(want) + 1
+    want = [OriginPlace(E)]
+    seen = set()
+    for d in range(1, dmax + 1):
+        big, emb, pts = oracle_affine_points(E, d)
+        for x0, y0 in pts:
+            pl_ = AffinePlace.from_point(E, big, emb, x0, y0)
+            if pl_.degree == d and pl_ not in seen:
+                seen.add(pl_)
+                want.append(pl_)
+    assert E.places_up_to_degree(dmax) == want
+    # every place comes from exactly one x-polynomial, split, ramified or inert
+    above = [
+        pl_
+        for e in range(1, dmax + 1)
+        for pi in irreducibles_of_degree(E.field, e)
+        for pl_ in E.places_above(pi)
+        if pl_.degree <= dmax
+    ]
+    assert len(above) == len(set(above)) and set(above) == set(want[1:])
+
+
+def test_place_points_over_f9_lie_over_their_polynomial():
+    """The points of the places over pi, pushed from F_81 up to F_6561 over
+    F_9, are exactly the points of the curve whose x is a root of pi.
+    get_embedding picks each field's root on its own, and here the tower
+    F_9 -> F_81 -> F_6561 does not agree with F_9 -> F_6561 on F_9."""
+    i1, i2, direct = get_embedding(3, 2, 4), get_embedding(3, 4, 8), get_embedding(3, 2, 8)
+    assert any(i2(i1(a)) != direct(a) for a in get_field(3, 2).elements())
+    F = get_field(3, 2)
+    E = EllipticCurve(F, 0, F.generator, 0, 0, 1)  # a2 off the prime field
+    big, emb, xs, ys = E.affine_points(4)
+    pts = list(zip(xs.tolist(), ys.tolist()))
+    for pi in irreducibles_of_degree(F, 2):
+        roots = pi.map_field(emb)
+        want = {(x, y) for x, y in pts if roots.eval(x) == 0}
+        got = [pl_.points_in(big) for pl_ in E.places_above(pi)]
+        assert sorted(pt for g in got for pt in g) == sorted(want)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_sum_witt_p1_removable_pole_twisted_over_f9(d):
+    """A removable pole at a degree-2 place over F_9, summed at d = 4
+    through the tower above: the value over F_81 carries d/2 times its F_81
+    exponent.  The twist lies in Z/9, where psi_b is trivial on P(W); a
+    twist off it is not, as Tr(b P(z)) = Tr((F^-1(b) - b) z)."""
+    F = get_field(3, 2)
+    K = RationalFunctionField(F)
+    x = RationalFunction.x(F)
+    pi = _quadratic_place_poly(F)
+    base = witt_function(K, [x, x**2])
+    h = RationalFunction.from_poly(pi).inverse()
+    fvec = base + wp(witt_function(K, [h, RationalFunction.zero(F)]))
+    twist = get_galois_ring(3, 2, 2).from_int(5)
+    excl = [InfinitePlace(F)]
+    res = sum_witt(fvec, d, exclusions=excl, twist=twist)
+    assert res.term_count == F.q**d
+    assert res.value == sum_witt(base, d, exclusions=excl, twist=twist).value
