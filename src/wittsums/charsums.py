@@ -35,7 +35,7 @@ from .asw import (
 )
 from .cyclotomic import CyclotomicInteger
 from .elliptic import OriginPlace
-from .fields import _linear_orbit, get_embedding, get_field
+from .fields import _linear_orbit, extension, get_field
 from .galois_rings import GaloisRing, get_galois_ring, get_gr_embedding
 from .poly import Poly, PolynomialRing, factor
 from .rational import (
@@ -250,8 +250,7 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None) -> CharS
     if exclusions is None:
         exclusions = [pl_ for pl_, _ in conductor(fvec).entries]
     exclusions = list(exclusions)
-    big = F if d == 1 else get_field(p, m * d)
-    emb = None if d == 1 else get_embedding(p, m, m * d)
+    big, emb = extension(F, d)
     twist_key = tuple(twist) if twist is not None else None
     pl_mod = p**l
     counts = np.zeros(pl_mod, dtype=np.int64)

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import FiniteField, get_embedding, get_embedding_over
+from .fields import FiniteField, extension, get_embedding_over
 from .poly import Poly, factor, roots_in_field
 from .rational import ENUMERATION_CAP, EnumerationCapError, RationalFunction
 from .series import LaurentSeries, PrecisionError, eval_poly_at_series
@@ -142,14 +142,6 @@ class EllipticCurve:
             acc = big.add(acc, a)
         return acc
 
-    def _extension(self, d: int):
-        """(F_{q^d}, the embedding of F_q into it, or None when d = 1)."""
-        F = self.field
-        if d == 1:
-            return F, None
-        emb = get_embedding(F.p, F.m, F.m * d)
-        return emb.big, emb
-
     def affine_points(self, d: int = 1):
         """(big field, embedding, xs, ys): the affine points over F_{q^d}
         as code arrays."""
@@ -158,7 +150,7 @@ class EllipticCurve:
             raise EnumerationCapError(
                 f"point enumeration size {F.q}^{d} exceeds cap {ENUMERATION_CAP}"
             )
-        big, emb = self._extension(d)
+        big, emb = extension(self.field, d)
         return (big, emb) + self.points_above(big, emb, np.arange(big.q))
 
     def count_points(self, d: int = 1) -> int:
@@ -176,12 +168,12 @@ class EllipticCurve:
         Split or ramified: the points above the least root x0 of pi lie
         over F_{q^e}, e = deg pi, one place through each.  Inert: none do,
         and the one place has its two points above x0 over F_{q^2e}."""
-        big, emb = self._extension(pi.degree)
+        big, emb = extension(self.field, pi.degree)
         x0 = min(roots_in_field(pi.map_field(emb) if emb else pi))
         ys = self.points_above(big, emb, [x0])[1].tolist()
         if ys:
             return [AffinePlace.from_point(self, big, emb, x0, y0) for y0 in ys]
-        big, emb = self._extension(2 * pi.degree)
+        big, emb = extension(self.field, 2 * pi.degree)
         x0 = min(roots_in_field(pi.map_field(emb)))
         y0 = int(self.points_above(big, emb, [x0])[1][0])
         return [AffinePlace.from_point(self, big, emb, x0, y0)]

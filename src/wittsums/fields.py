@@ -435,12 +435,25 @@ def get_embedding(p: int, m: int, md: int) -> FieldEmbedding:
     return FieldEmbedding(get_field(p, m), get_field(p, md))
 
 
+def extension(F: FiniteField, d: int):
+    """(F_{q^d}, the embedding of F = F_q into it, or None when d = 1)."""
+    if d == 1:
+        return F, None
+    emb = get_embedding(F.p, F.m, F.m * d)
+    return emb.big, emb
+
+
 @lru_cache(maxsize=None)
 def get_embedding_over(p: int, m: int, mk: int, md: int):
     """An embedding F_{p^mk} -> F_{p^md} over F_{p^m}: on F_{p^m}, taken up
-    by get_embedding(p, m, mk), it agrees with get_embedding(p, m, md).
-    get_embedding(p, mk, md) need not, as each embedding picks its root on
-    its own; the two differ by a power of Frobenius, found on a generator."""
+    by get_embedding(p, m, mk) (by nothing when mk = m), it agrees with
+    get_embedding(p, m, md).  get_embedding(p, mk, md) need not, as each
+    embedding picks its root on its own; the two differ by a power of
+    Frobenius, found on a generator."""
+    if mk == m:
+        # get_embedding(p, m, m) need not be the identity: it sends x to the
+        # first root of the modulus among the generator's powers
+        return get_embedding(p, m, md)
     outer = get_embedding(p, mk, md)
     big = outer.big
     g = get_field(p, m).generator

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FiniteField, get_embedding, get_field
+from .fields import FiniteField, extension
 from .poly import Poly, factor, irreducibles_of_degree, roots_in_field
 from .series import LaurentSeries, eval_poly_at_series
 
@@ -246,8 +246,7 @@ class RationalFunction:
             alpha = F.neg(pi.coeffs[0])
             big, emb, root = F, None, alpha
         else:
-            big = get_field(F.p, F.m * e)
-            emb = get_embedding(F.p, F.m, F.m * e)
+            big, emb = extension(F, e)
             root = min(roots_in_field(pi.map_field(emb)))
         # substitute x = root + t and divide the two polynomial expansions;
         # the guard terms absorb precision lost inverting a denominator that

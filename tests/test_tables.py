@@ -447,6 +447,23 @@ def test_sum_witt_p1_pole_outside_exclusions_raises():
         sum_witt(fvec, 1, exclusions=[InfinitePlace(F)])
 
 
+def test_sum_witt_base_place_pole_outside_exclusions_raises():
+    """A pole that does not reduce away at the base place (infinity on P^1,
+    the origin on an elliptic curve) raises when that place is summed, as
+    at any other place."""
+    F = get_field(2, 1)
+    K = RationalFunctionField(F)
+    fvec = witt_function(K, [RationalFunction.x(F), RationalFunction.zero(F)])
+    with pytest.raises(ZeroDivisionError):
+        sum_witt(fvec, 1, exclusions=[])
+    E = EllipticCurve(F, 0, 0, 1, 0, 0)
+    x, y = EllipticFunction.x(E), EllipticFunction.y(E)
+    evec = witt_function(EllipticFunctionField(E), [x + y, EllipticFunction.zero(E)])
+    assert OriginPlace(E) in conductor(evec).support
+    with pytest.raises(ZeroDivisionError):
+        sum_witt(evec, 1, exclusions=[])
+
+
 def test_sum_witt_p1_removable_pole_at_degree2_place():
     """(x, x^3) + P((1/(x^2+x+1), 0)) is (x, x^3) up to P(W): the pole at
     the degree-2 place reduces away, so it is summed, once per closed point,
@@ -595,6 +612,59 @@ def test_place_points_over_f9_lie_over_their_polynomial():
         want = {(x, y) for x, y in pts if roots.eval(x) == 0}
         got = [pl_.points_in(big) for pl_ in E.places_above(pi)]
         assert sorted(pt for g in got for pt in g) == sorted(want)
+
+
+def _f9_curve_and_place():
+    """A curve over F_9 with a2 off F_3, and a rational point of it with x
+    off F_3.  F_9's modulus x^2 + 1 is not primitive, so
+    get_embedding(3, 2, 2) is the Frobenius, not the identity."""
+    F = get_field(3, 2)
+    assert any(get_embedding(3, 2, 2)(a) != a for a in F.elements())
+    E = EllipticCurve(F, 0, F.generator, 0, 0, 1)
+    _, _, xs, ys = E.affine_points(1)
+    x0, y0 = next((x, y) for x, y in zip(xs.tolist(), ys.tolist()) if F.pow(x, 3) != x)
+    return E, AffinePlace.from_point(E, F, None, x0, y0)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_rational_place_points_over_f9(d):
+    """A rational place's point goes up to F_{9^d} by get_embedding(3, 2,
+    2d), not through get_embedding(3, 2, 2)."""
+    E, _ = _f9_curve_and_place()
+    big, emb, xs, ys = E.affine_points(d)
+    for x0, y0 in zip(*(a.tolist() for a in E.affine_points(1)[2:])):
+        pl_ = AffinePlace.from_point(E, E.field, None, x0, y0)
+        assert pl_.points_in(big) == [(emb(x0), emb(y0))]
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_sum_witt_elliptic_rational_places_off_f3(d):
+    """Over F_9, with a rational place Q whose x lies off F_3: a pole at Q
+    excluded, Q excluded where f is regular, and a removable pole at the
+    places over x(Q) summed through their reduction, against the scalar
+    oracle (right here, as every place involved is rational)."""
+    E, Q = _f9_curve_and_place()
+    F = E.field
+    ring = EllipticFunctionField(E)
+    x, y = EllipticFunction.x(E), EllipticFunction.y(E)
+    zero = EllipticFunction.zero(E)
+    x0 = Q.representative[0]
+    g = EllipticFunction.from_rational(
+        E, (RationalFunction.x(F) - RationalFunction.const(F, x0)).inverse()
+    )
+    base = witt_function(ring, [x + y, zero])
+    pole = witt_function(ring, [x + g, zero])
+    removable = base + wp(witt_function(ring, [g, zero]))
+    assert Q in conductor(pole).support
+    assert Q in candidate_pole_places(removable) and Q not in conductor(removable).support
+    cases = [
+        (pole, list(conductor(pole).support)),
+        (base, [OriginPlace(E), Q]),
+        (removable, list(conductor(removable).support)),
+    ]
+    for fvec, excl in cases:
+        res = sum_witt(fvec, d, exclusions=excl)
+        assert (res.value, res.term_count) == oracle_sum_elliptic(fvec, d, excl)
 
 
 @pytest.mark.parametrize("d", [2, 4])
