@@ -28,6 +28,7 @@ from .charsums import (
     CharSumResult,
     LFunctionResult,
     PoleData,
+    SweepResult,
     bound_cor52,
     bound_cor53,
     bound_kumar,
@@ -97,6 +98,7 @@ __all__ = [
     "RationalFunction",
     "RationalFunctionField",
     "ReducedForm",
+    "SweepResult",
     "WittParams",
     "WittVector",
     "artin_reduce_at",

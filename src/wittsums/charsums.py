@@ -17,10 +17,20 @@ origin).  Each coordinate is evaluated over all points at once through the
 field's array operations and the exponents are counted with one bincount.
 The base place and the places above a denominator's factor are summed once
 per closed point, from one local Artin reduction each.
+
+The Kumar sweep uses the same trace table: at a Teichmuller point x the
+exponent of f = sum [a_k] T^k + p sum [b_k] T^k is a sum of table lookups,
+one per coefficient, so the exponents of every instance at x are one
+broadcast sum of lookup rows.  It keeps exact exponent counts per instance
+and decides |S|^2 <= B^2 from them: as integers when p^l = 4, and otherwise
+by floats with a rigorous margin and an exact test in Z[zeta] inside it.
+Sweeps return a columnar `SweepResult` (one array per field) that reads
+as a sequence of `BoundReport` rows, built on access.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -211,12 +221,20 @@ def _curve_points(fvec, big, emb):
     return (xs, ys), on, OriginPlace(E), [pl for pi in pis for pl in E.places_above(pi)]
 
 
-def _digits_at(fvec, place):
+def _digits_at(fvec, place, twist_key):
     """The Witt digits of f at a place, after reduction at a rational
     place above it, so that a removable pole is gone; with the degree k of
     their field F_{q^k} over the base field.  Raises ZeroDivisionError
-    where a pole remains."""
+    where a pole remains, and ValueError where a pole was removed but the
+    twist b lies off Z/p^l: then psi_b is not trivial on P(W), since
+    Tr(b P(z)) = Tr((F^-1(b) - b) z), and the reduced value is not a value
+    of f's class."""
     rf = artin_reduce_at(fvec, place)
+    if twist_key is not None and any(twist_key[1:]) and not rf.witness.is_zero():
+        raise ValueError(
+            f"a removable pole at {place!r} outside the exclusions, with a "
+            f"twist off Z/{fvec.params.p ** fvec.params.l}"
+        )
     digits = []
     for c in rf.reduced.coords:
         s = None if c.is_zero() else c.laurent_at(rf.place, 1)
@@ -237,7 +255,8 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None) -> CharS
     rational point of the place, and its value there counts for every
     point, since P-shifts have character value 1 and the trace is constant
     on Frobenius orbits.  A value in F_{q^k} has d/k times its exponent
-    over F_{q^k}.
+    over F_{q^k}.  A twist off Z/p^l does not kill P-shifts, so a pole
+    removed there raises ValueError.
     """
     ring = fvec.ring
     F = ring.field
@@ -268,7 +287,7 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None) -> CharS
             free &= ~at
             summed.append((pl_, int(at.sum())))
     for pl_, n in summed:
-        digits, k = _digits_at(fvec, pl_)
+        digits, k = _digits_at(fvec, pl_, twist_key)
         contrib_k = _digit_trace_tables(p, l, m, k, twist_key)
         t = sum(int(contrib_k[i, a]) for i, a in enumerate(digits))
         counts[t * (d // k) % pl_mod] += n
@@ -482,104 +501,203 @@ class BoundReport:
     ratio: float
     passed: bool
 
-    @classmethod
-    def make(cls, instance, measured, bound):
-        ratio = measured / bound if bound else (0.0 if measured <= 1e-9 else float("inf"))
-        return cls(
-            instance=instance,
-            measured=measured,
-            bound=bound,
-            ratio=ratio,
-            passed=measured <= bound + 1e-9,
-        )
+
+@dataclass(frozen=True, eq=False)
+class SweepResult(Sequence):
+    """A sweep's reports as columns, one entry per instance.
+
+    Instance i is named `label % (column[i] for column in label_columns)`.
+    `measured` is |S| (the JSON's "abs").  The object is also a read-only
+    sequence of BoundReport rows, each built when it is read.  The Kumar
+    sweep fills the exact columns: grid index, digit degrees, exponent
+    counts (counts[t, i] points of instance i have exponent t), |S|^2 and
+    B^2; other families leave them None.
+    """
+
+    label: str
+    label_columns: tuple
+    measured: np.ndarray
+    bound: np.ndarray
+    ratio: np.ndarray
+    passed: np.ndarray
+    index: np.ndarray | None = None
+    deg0: np.ndarray | None = None
+    deg1: np.ndarray | None = None
+    counts: np.ndarray | None = None
+    s2: np.ndarray | None = None
+    b2: np.ndarray | None = None
+
+    def instances(self) -> list[str]:
+        cols = [np.asarray(c).tolist() for c in self.label_columns]
+        return list(map(self.label.__mod__, zip(*cols)))
+
+    @property
+    def violations(self) -> int:
+        return int(np.count_nonzero(~self.passed))
+
+    @property
+    def max_ratio(self) -> float:
+        return float(self.ratio.max()) if len(self) else 0.0
+
+    def __len__(self):
+        return len(self.passed)
+
+    def __getitem__(self, i):
+        name = self.label % tuple(c[i] for c in self.label_columns)
+        return BoundReport(name, float(self.measured[i]), float(self.bound[i]),
+                           float(self.ratio[i]), bool(self.passed[i]))
+
+    def __iter__(self):
+        cols = (self.measured.tolist(), self.bound.tolist(), self.ratio.tolist(),
+                self.passed.tolist())
+        for row in zip(self.instances(), *cols):
+            yield BoundReport(*row)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple, SweepResult)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
-@lru_cache(maxsize=None)
-def _ring_tables(p: int, l: int, m: int):
-    """Dense index tables for GR(p^l, m): addition, multiplication, trace
-    exponents and Teichmuller indices, for vectorized sweeps."""
-    R = get_galois_ring(p, l, m)
-    elems = list(R.elements())
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    add = np.zeros((n, n), dtype=np.int32)
-    mul = np.zeros((n, n), dtype=np.int32)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            add[i, j] = index[R.add(a, b)]
-            mul[i, j] = index[R.mul(a, b)]
-    tr = np.array([R.absolute_trace(e) for e in elems], dtype=np.int64)
-    teich = np.array(
-        [index[R.teichmuller(a)] for a in R.residue_field.elements()], dtype=np.int32
-    )
-    p_idx = index[R.from_int(p)]
-    zero_idx = index[R.zero()]
-    return add, mul, tr, teich, p_idx, zero_idx, elems, index
+def _float_sweep(names, measured, bound) -> SweepResult:
+    """Columns from float |S| and bound, passing within 1e-9."""
+    measured = np.array(measured, dtype=np.float64)
+    bound = np.array(bound, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(bound != 0, measured / bound,
+                         np.where(measured <= 1e-9, 0.0, np.inf))
+    return SweepResult("%s", (list(names),), measured, bound, ratio,
+                       measured <= bound + 1e-9)
 
 
-def sweep_kumar(p: int, l: int, m: int, deg0: int, deg1: int) -> list[BoundReport]:
+def _kumar_counts(p: int, m: int, n0: int, n1: int):
+    """counts[t, i]: the Teichmuller points x at which instance i of the
+    coefficient grid has character exponent t.
+
+    Instance i has digits a_k (f_0) and b_k (f_1), in C order of the grid
+    with the constant a_0 most significant.  Since [a][x]^k = [a x^k], its
+    exponent at x is sum_k C[0, a_k x^k] + sum_k C[1, b_k x^k] mod p^2, C
+    the trace table of GR(p^2, m): a broadcast sum of one row per
+    coefficient.
+    """
+    F = get_field(p, m)
+    q, pl_mod = F.q, p**2
+    C = _digit_trace_tables(p, 2, m, 1, None)
+    codes = np.arange(q)
+    dtype = np.min_scalar_type((n0 + n1) * (pl_mod - 1))
+    counts = np.zeros((pl_mod, q ** (n0 + n1)), dtype=np.uint16)
+    for x in range(q):
+        rows = [C[i][F.mul_array(codes, F.pow(x, k))].astype(dtype)
+                for i, n in ((0, n0), (1, n1)) for k in range(n)]
+        e = rows[0]
+        for row in rows[1:]:
+            e = (e[:, None] + row).ravel()
+        e %= pl_mod
+        for t in range(pl_mod):
+            counts[t] += e == t
+    return counts
+
+
+def _digit_degree(q: int, n: int):
+    """The degree of each polynomial of the coefficient grid (q,)*n, -1 for 0."""
+    deg = np.array([-1])
+    for k in range(n):
+        deg = np.maximum(deg[:, None], np.where(np.arange(q) != 0, k, -1)).ravel()
+    return deg
+
+
+def _kumar_verdicts(p: int, q: int, counts, b2):
+    """|S|^2 and |S|^2 <= B^2 per instance, from exact exponent counts.
+
+    At p^2 = 4, S = (n_0 - n_2) + (n_1 - n_3) i lies in Z[i] and the
+    comparison is between integers.  Otherwise |S|^2 is summed in floats:
+    each cos/sin is within 32 eps, so Re S and Im S are within
+    q (p^2 + 33) eps and |S|^2 within 4 q^2 (p^2 + 34) eps, half of
+    `margin`.  An instance inside the margin is decided by the exact test
+    S conj(S) = B^2 in Z[zeta].
+    """
+    if p == 2:
+        re = counts[0].astype(np.int64) - counts[2]
+        im = counts[1].astype(np.int64) - counts[3]
+        s2 = re * re + im * im
+        return s2, s2 <= b2
+    pl_mod = p**2
+    re = np.zeros(counts.shape[1])
+    im = np.zeros(counts.shape[1])
+    for t in range(pl_mod):
+        re += np.cos(2 * np.pi * t / pl_mod) * counts[t]
+        im += np.sin(2 * np.pi * t / pl_mod) * counts[t]
+    s2 = re * re + im * im
+    margin = 8 * q * q * (pl_mod + 34) * np.finfo(np.float64).eps
+    passed = s2 <= b2
+    for i in np.flatnonzero(np.abs(s2 - b2) <= margin):
+        S = _exponent_counts_to_cyclotomic(p, 2, counts[:, i].tolist())
+        if S * S.conjugate_power(pl_mod - 1) != CyclotomicInteger.from_int(p, 2, int(b2[i])):
+            # a nonzero algebraic integer this small: double precision
+            # cannot tell its sign
+            raise ArithmeticError(
+                f"|S|^2 of instance {i} is within {margin:.1e} of B^2 but not equal")
+        s2[i], passed[i] = b2[i], True
+    return s2, passed
+
+
+def sweep_kumar(p: int, l: int, m: int, deg0: int, deg1: int) -> SweepResult:
     """Exhaustive check of the Teichmuller-digit bound for f = f_0 + p f_1,
     deg f_0 <= deg0, deg f_1 <= deg1, coefficients in the Teichmuller set.
-    All-constant instances are skipped (the bound is undefined there)."""
+    All-constant instances are skipped (the bound is undefined there).
+
+    |S|^2 <= B^2 = (w - 1)^2 p^m, w = max(p deg f_0, deg f_1) over the
+    non-constant digits, is decided exactly (see `_kumar_verdicts`).
+    """
     if l != 2:
         raise ValueError("the sweep is wired for two digits (l = 2)")
+    if deg0 < 0 or deg1 < 0:
+        raise ValueError("digit degrees must be nonnegative")
     q = p**m
     n0, n1 = deg0 + 1, deg1 + 1
-    if q ** (n0 + n1) > ENUMERATION_CAP:
+    total = q ** (n0 + n1)
+    if total > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"sweep size {q}^{n0 + n1} exceeds cap {ENUMERATION_CAP}"
         )
-    if p ** (2 * l * m) > ENUMERATION_CAP:
+    # the uint16 count table holds p^2 entries per instance; at p^2 = 4 the
+    # instance cap alone binds
+    if total * p**l > 4 * ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"ring tables of size {p ** (l * m)}^2 exceed cap {ENUMERATION_CAP}"
+            f"exponent counts for {total} instances mod {p**l} exceed {4 * ENUMERATION_CAP}"
         )
-    add, mul, tr, teich, p_idx, zero_idx, elems, index = _ring_tables(p, l, m)
-    shape = (q,) * (n0 + n1)
-    grids = np.indices(shape, dtype=np.int32).reshape(n0 + n1, -1)
-    c0 = [teich[grids[k]] for k in range(n0)]           # f_0 coefficients
-    c1 = [teich[grids[n0 + k]] for k in range(n1)]      # f_1 coefficients
-    total = grids.shape[1]
-    pl_mod = p**l
-    zeta = np.exp(2j * np.pi * np.arange(pl_mod) / pl_mod)
-    S = np.zeros(total, dtype=np.complex128)
-    for a in range(q):
-        xi = int(teich[a])
-        acc0 = c0[-1]
-        for k in range(n0 - 2, -1, -1):
-            acc0 = add[mul[acc0, xi], c0[k]]
-        acc1 = c1[-1]
-        for k in range(n1 - 2, -1, -1):
-            acc1 = add[mul[acc1, xi], c1[k]]
-        f = add[acc0, mul[acc1, p_idx]]
-        S += zeta[tr[f]]
-    measured = np.abs(S)
-    # true digit degrees (indices of highest non-zero coefficient)
-    def degrees(cs):
-        deg = np.full(total, -1, dtype=np.int32)
-        for k, arr in enumerate(cs):
-            deg = np.where(arr != zero_idx, k, deg)
-        return deg
-    d0 = degrees(c0)
-    d1 = degrees(c1)
-    w = np.maximum(p * np.maximum(d0, 0) * (d0 > 0), np.maximum(d1, 0) * (d1 > 0))
-    reports = []
-    mq = p ** (m / 2)
-    for i in range(total):
-        if w[i] <= 0:
-            continue  # constant instance, bound undefined
-        bound = (float(w[i]) - 1.0) * mq
-        name = f"f0deg{d0[i]}_f1deg{d1[i]}_{i}"
-        reports.append(BoundReport.make(name, float(measured[i]), bound))
-    return reports
+    d0 = np.repeat(_digit_degree(q, n0), q**n1)
+    d1 = np.tile(_digit_degree(q, n1), q**n0)
+    w = np.maximum(np.where(d0 > 0, p * d0, 0), np.where(d1 > 0, d1, 0))
+    index = np.flatnonzero(w > 0)  # all-constant instances have w = 0
+    d0, d1, w = d0[index], d1[index], w[index]
+    if len(index):
+        counts = _kumar_counts(p, m, n0, n1)[:, index]
+    else:  # constant digits only: nothing to sum
+        counts = np.zeros((p**l, 0), dtype=np.uint16)
+    b2 = (w - 1) ** 2 * q
+    s2, passed = _kumar_verdicts(p, q, counts, b2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sqrt(s2 / b2)
+    ratio = np.where(b2 > 0, ratio, np.where(s2 > 0, np.inf, 0.0))
+    return SweepResult(
+        label="f0deg%d_f1deg%d_%d",
+        label_columns=(d0, d1, index),
+        measured=np.sqrt(s2.astype(np.float64)),
+        bound=(w.astype(np.float64) - 1.0) * p ** (m / 2),
+        ratio=ratio,
+        passed=passed,
+        index=index, deg0=d0, deg1=d1, counts=counts, s2=s2, b2=b2,
+    )
 
 
-def sweep_thm31_p1(p: int, l: int, m: int, max_a: int, max_b: int, d: int = 1) -> list[BoundReport]:
+def sweep_thm31_p1(p: int, l: int, m: int, max_a: int, max_b: int, d: int = 1) -> SweepResult:
     """Conductor-bound check for fvec = (x^a, x^b) on P^1."""
     F = get_field(p, m)
     K = RationalFunctionField(F)
     x = RationalFunction.x(F)
     zero = RationalFunction.zero(F)
-    reports = []
+    names, measured, bounds = [], [], []
     for a in range(1, max_a + 1):
         for b in range(0, max_b + 1):
             coords = (x**a, x**b if b else zero)
@@ -588,18 +706,18 @@ def sweep_thm31_p1(p: int, l: int, m: int, max_a: int, max_b: int, d: int = 1) -
             fvec = witt_function(K, coords)
             if not is_nondegenerate(fvec):
                 continue
-            bound = bound_thm31(fvec, d)
-            res = sum_witt(fvec, d)
-            reports.append(BoundReport.make(f"(x^{a},x^{b})_d{d}", res.modulus, bound))
-    return reports
+            bounds.append(bound_thm31(fvec, d))
+            measured.append(sum_witt(fvec, d).modulus)
+            names.append(f"(x^{a},x^{b})_d{d}")
+    return _float_sweep(names, measured, bounds)
 
 
-def verify_sweep(family: str, **params) -> list[BoundReport]:
+def verify_sweep(family: str, **params) -> SweepResult:
     """Dispatch a named verification family; returns one report per instance."""
     if family == "kumar":
         return sweep_kumar(**params)
     if family == "thm31-p1":
         return sweep_thm31_p1(**params)
     if family == "empty":
-        return []
+        return _float_sweep([], [], [])
     raise ValueError(f"unknown sweep family {family!r}")

@@ -5,7 +5,8 @@ JSON (or CSV for sweeps), optionally written to a file with --out.
 
 Exit codes: 0 success (and, for `verify`, zero violations), 1 verification
 violations found, 2 usage or parse error, 3 enumeration cap exceeded,
-4 mathematical precondition violated.
+4 mathematical precondition violated, 5 out of memory or an unexpected
+internal error (one `error:` line on stderr, never a traceback).
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .asw import genus_of_cover, witt_function
 from .charsums import (
@@ -52,6 +56,7 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_MATH = 4
+EXIT_INTERNAL = 5
 
 
 def _cyclotomic_coeffs(c):
@@ -63,23 +68,73 @@ def _cyclotomic_coeffs(c):
     return out
 
 
-def _emit(args, payload, rows=None):
-    """Write the JSON payload (or CSV rows when --format csv) to stdout or
-    --out, with a trailing newline, deterministically."""
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in rows if rows is not None else []:
-            writer.writerow(row)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(args, text: str):
+    """Write text to --out, or to stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload):
+    """Write the JSON payload with a trailing newline, deterministically;
+    --format csv writes nothing (only `verify` has CSV rows)."""
+    if getattr(args, "format", "json") == "csv":
+        _write(args, "")
+    else:
+        _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+# one report of `verify`, as json.dumps(..., sort_keys=True, indent=2) writes it
+_REPORT = (
+    '    {\n      "abs": %s,\n      "bound": %s,\n      "instance": %s,\n'
+    '      "passed": %s,\n      "ratio": %s\n    }'
+)
+
+
+def _spelled(column, spell) -> list[str]:
+    """spell(v) for each float v of a column; each distinct value (by its
+    bits, so -0.0 stays apart from 0.0) is spelled once."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    words = [spell(v) for v in bits.view(np.float64).tolist()]
+    return np.array(words, dtype=object)[inverse].tolist()
+
+
+def _sweep_json(family: str, result) -> str:
+    """The `verify` payload, byte for byte as json.dumps(payload,
+    sort_keys=True, indent=2) + newline writes it: the header through
+    json, the reports from the result's columns through `_REPORT`."""
+    payload = {
+        "family": family,
+        "instances": len(result),
+        "violations": result.violations,
+        "max_ratio": result.max_ratio,
+        "pass": not result.violations,
+        "reports": [],
+    }
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if not len(result):
+        return text
+    rows = zip(
+        _spelled(result.measured, json.dumps),
+        _spelled(result.bound, json.dumps),
+        map(encode_basestring_ascii, result.instances()),
+        np.where(result.passed, "true", "false").tolist(),
+        _spelled(result.ratio, json.dumps),
+    )
+    reports = ",\n".join(map(_REPORT.__mod__, rows))
+    return text.replace('"reports": []', '"reports": [\n' + reports + "\n  ]", 1)
+
+
+def _sweep_csv(result) -> str:
+    """The `verify` rows as CSV, floats spelled by repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["instance", "abs", "bound", "ratio"])
+    floats = [_spelled(c, repr) for c in (result.measured, result.bound, result.ratio)]
+    writer.writerows(zip(result.instances(), *floats))
+    return buf.getvalue()
 
 
 def _build_witt_function(args, p, l, m):
@@ -232,28 +287,9 @@ def cmd_verify(args) -> int:
                   "max_b": args.max_b, "d": args.d}
     elif family != "empty":  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown verify family {family!r}")
-    reports = verify_sweep(family, **params)
-    violations = [r for r in reports if not r.passed]
-    max_ratio = max((r.ratio for r in reports), default=0.0)
-    rows = None
-    if args.format == "csv":
-        rows = [["instance", "abs", "bound", "ratio"]]
-        rows += [[r.instance, repr(r.measured), repr(r.bound), repr(r.ratio)]
-                 for r in reports]
-    payload = {
-        "family": family,
-        "instances": len(reports),
-        "violations": len(violations),
-        "max_ratio": max_ratio,
-        "pass": not violations,
-        "reports": [
-            {"instance": r.instance, "abs": r.measured, "bound": r.bound,
-             "ratio": r.ratio, "passed": r.passed}
-            for r in reports
-        ],
-    }
-    _emit(args, payload, rows=rows)
-    return EXIT_OK if not violations else EXIT_VIOLATIONS
+    result = verify_sweep(family, **params)
+    _write(args, _sweep_csv(result) if args.format == "csv" else _sweep_json(family, result))
+    return EXIT_VIOLATIONS if result.violations else EXIT_OK
 
 
 def cmd_witt(args) -> int:
@@ -423,6 +459,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: internal error ({type(exc).__name__}): {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -23,6 +23,10 @@ class FieldCapError(ValueError):
     """Requested field exceeds the desk-scale enumeration cap."""
 
 
+class EnumerationCapError(RuntimeError):
+    """A requested enumeration would exceed the configured size cap."""
+
+
 def primefactors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, ascending, by trial division
     (enough here: every n factored is below the field cap)."""

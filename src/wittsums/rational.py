@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FiniteField, extension
+from .fields import EnumerationCapError, FiniteField, extension
 from .poly import Poly, factor, irreducibles_of_degree, roots_in_field
 from .series import LaurentSeries, eval_poly_at_series
 
 ENUMERATION_CAP = 10**7
-
-
-class EnumerationCapError(RuntimeError):
-    """A requested enumeration would exceed the configured size cap."""
 
 
 @dataclass(frozen=True)

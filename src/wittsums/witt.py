@@ -11,9 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import isprime
+from .fields import EnumerationCapError, isprime
 
 MAX_LENGTH = 4  # universal polynomial size grows too fast beyond this
+# monomials of weighted degree p^(l-1) that the last universal polynomial
+# may reach: (3,4) has 1,068 and builds in 0.03 s, (13,3) 6,022 in 1.4 s;
+# (5,4) has 47,098 (12 s) and (7,4) 706,814 (minutes)
+UNIVERSAL_MONOMIAL_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,21 @@ def _terms_mod_p(poly: dict, p: int) -> tuple:
     return tuple((c % p, e) for e, c in sorted(poly.items(), reverse=True) if c % p)
 
 
+def _universal_monomials(p: int, l: int) -> int:
+    """The monomials in X_0..X_{l-1}, Y_0..Y_{l-1} (X_j, Y_j of weight p^j)
+    of weighted degree p^(l-1), where the last sum polynomial lives; the
+    build cost grows with this count."""
+    n = p ** (l - 1)
+    if n > 4 * UNIVERSAL_MONOMIAL_CAP:
+        return n + 1  # already above the cap: the X_0^a Y_0^(n-a) alone
+    ways = [1] + [0] * n
+    for j in range(2 * l):
+        w = p ** (j % l)
+        for s in range(w, n + 1):
+            ways[s] += ways[s - w]
+    return ways[n]
+
+
 @lru_cache(maxsize=None)
 def compute_universal_polys(p: int, l: int) -> "UniversalWittPolys":
     """Sum, product and negation polynomials for W_l, coefficients mod p.
@@ -104,6 +123,12 @@ def compute_universal_polys(p: int, l: int) -> "UniversalWittPolys":
     the 2l variables X_0..X_{l-1}, Y_0..Y_{l-1} (negation uses only the X's).
     """
     WittParams(p, l)  # validate
+    size = _universal_monomials(p, l)
+    if size > UNIVERSAL_MONOMIAL_CAP:
+        raise EnumerationCapError(
+            f"universal Witt polynomials for (p, l) = ({p}, {l}) reach {size} "
+            f"monomials, above the cap {UNIVERSAL_MONOMIAL_CAP}"
+        )
     nvars = 2 * l
     one = {(0,) * nvars: 1}
     wx = [_ghost(p, n, 0, nvars) for n in range(l)]

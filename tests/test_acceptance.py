@@ -144,6 +144,9 @@ def test_criterion_03_teichmuller_identity():
 def test_criterion_04_kumar_sweep():
     t0 = time.time()
     reports = sweep_kumar(2, 2, 3, 3, 1)
+    # S lies in Z[i]: |S|^2 and B^2 are integers, compared with no tolerance
+    assert reports.s2.dtype.kind == "i" and reports.b2.dtype.kind == "i"
+    assert (reports.s2 <= reports.b2).all()
     violations = [r for r in reports if not r.passed]
     assert not violations
     max_ratio = max(r.ratio for r in reports)

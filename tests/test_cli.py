@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from wittsums.cli import main
+import wittsums.cli
+from wittsums.charsums import _float_sweep, verify_sweep
+from wittsums.cli import _sweep_csv, _sweep_json, main
 
 
 def run(capsys, argv):
@@ -132,6 +134,72 @@ def test_verify_csv_format(capsys):
     assert len(lines) > 1
 
 
+def test_verify_constant_digits_is_empty(capsys):
+    # GR(4,8) with constant digits only: every instance is skipped
+    code, out = run(capsys, ["verify", "kumar", "--ring", "2,2,8", "--degs", "0,0"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["instances"] == 0 and data["reports"] == [] and data["pass"] is True
+
+
+def _dumps_reports(family, result):
+    reports = [
+        {"instance": r.instance, "abs": r.measured, "bound": r.bound,
+         "ratio": r.ratio, "passed": r.passed}
+        for r in result
+    ]
+    violations = sum(not r.passed for r in result)
+    payload = {
+        "family": family,
+        "instances": len(reports),
+        "violations": violations,
+        "max_ratio": max((r["ratio"] for r in reports), default=0.0),
+        "pass": not violations,
+        "reports": reports,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("kumar", dict(p=2, l=2, m=1, deg0=2, deg1=1)),
+        ("kumar", dict(p=2, l=2, m=2, deg0=1, deg1=2)),  # with violations
+        ("kumar", dict(p=3, l=2, m=1, deg0=2, deg1=1)),
+        ("thm31-p1", dict(p=2, l=2, m=1, max_a=3, max_b=2, d=1)),
+        ("empty", {}),
+    ],
+)
+def test_sweep_writer_matches_json_dumps(family, params):
+    result = verify_sweep(family, **params)
+    assert _sweep_json(family, result) == _dumps_reports(family, result)
+
+
+def test_sweep_writer_infinite_ratio_and_escapes():
+    result = _float_sweep(['a"b\\c', "d\u00e9\n", "e"], [1.5, 0.0, -0.0], [0.0, 0.0, 2.0])
+    assert result.ratio[0] == float("inf")
+    text = _sweep_json("thm31-p1", result)
+    assert text == _dumps_reports("thm31-p1", result)
+    assert '"max_ratio": Infinity' in text and '"ratio": Infinity' in text
+    assert '"abs": -0.0' in text
+    lines = _sweep_csv(result).splitlines()
+    assert lines[0] == "instance,abs,bound,ratio"
+    assert lines[1] == '"a""b\\c",1.5,0.0,inf'
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RuntimeError])
+def test_unexpected_failure_exit5(capsys, monkeypatch, exc):
+    def boom(args):
+        raise exc("boom\nsecond line")
+
+    monkeypatch.setattr(wittsums.cli, "cmd_sum", boom)
+    code = main(["sum", "--ring", "2,2,1", "--f", "T"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_deterministic_output(capsys):
     argv = ["lfun", "--ring", "2,2,1", "--f-witt", "(x^3,0)", "--terms", "7"]
     _, out1 = run(capsys, argv)
@@ -181,8 +249,8 @@ def test_singular_curve_exit4(capsys):
         (["genus", "--ring", "2,2,1", "--f-witt", "(x,0)", "--curve", "y^2+y=x^3+x/2"], 2),
         # 27^8 instances: refused before any table or grid is built
         (["verify", "kumar", "--ring", "3,2,3", "--degs", "3,3"], 3),
-        # 256^2 instances, but GR(4,8) has 65536 elements: dense 65536^2 tables
-        (["verify", "kumar", "--ring", "2,2,8", "--degs", "0,0"], 3),
+        # 256^4 instances: refused before any table or count is built
+        (["verify", "kumar", "--ring", "2,2,8", "--degs", "1,1"], 3),
         # all-constant digits: the bound is undefined
         (["bound", "kumar", "--ring", "2,2,3", "--degs", "0,0"], 4),
         # a characteristic beyond the field cap is refused, not trial-divided
@@ -190,6 +258,8 @@ def test_singular_curve_exit4(capsys):
         # f0 = 0 and f0 = 1 + 1/x^2 = 1 + P(1/x) give degenerate characters
         (["genus", "--ring", "2,2,1", "--f-witt", "(0,x^3)"], 4),
         (["genus", "--ring", "2,2,1", "--f-witt", "(1,1+1/x^2)"], 4),
+        # universal Witt polynomials too costly to build: refused at once
+        (["witt", "add", "--p", "7", "--l", "4", "--over", "f7", "(1,0,0,0)", "(1,0,0,0)"], 3),
     ],
 )
 def test_exit_code_table(capsys, argv, expected):

@@ -4,8 +4,10 @@ The oracles below are the element-at-a-time builders the library used
 before: field exp/log/Zech tables by repeated multiplication by the
 generator, digit trace tables by one Galois-ring multiplication and one
 basis-trace dot product per field element, P^1 and elliptic point sums by
-one scalar evaluation per point, and elliptic points by one quadratic
-solved per x.  Each fast path must agree with them exactly.
+one scalar evaluation per point, elliptic points by one quadratic
+solved per x, and the Kumar sweep by dense addition and multiplication
+tables of the whole Galois ring.  Each fast path must agree with them
+exactly.
 """
 
 import pytest
@@ -26,7 +28,9 @@ from wittsums.charsums import (
     _exponent_counts_to_cyclotomic,
     l_function,
     sum_witt,
+    sweep_kumar,
 )
+from wittsums.cyclotomic import CyclotomicInteger
 from wittsums.elliptic import (
     AffinePlace,
     EllipticCurve,
@@ -125,6 +129,45 @@ def oracle_trace_tables(p, l, m, d, twist_key):
             row[a] = sum(c * t for c, t in zip(x, basis_tr)) % pl
         contrib.append(row)
     return contrib
+
+
+def oracle_kumar_counts(p, l, m, deg0, deg1):
+    """counts[t, i] for every instance i of the coefficient grid (the
+    all-constant ones too), by Horner evaluation of f_0 and f_1 at each
+    Teichmuller point through dense index tables of GR(p^l, m)."""
+    R = get_galois_ring(p, l, m)
+    elems = list(R.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    n = len(elems)
+    add = np.zeros((n, n), dtype=np.int32)
+    mul = np.zeros((n, n), dtype=np.int32)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            add[i, j] = index[R.add(a, b)]
+            mul[i, j] = index[R.mul(a, b)]
+    tr = np.array([R.absolute_trace(e) for e in elems], dtype=np.int64)
+    teich = np.array(
+        [index[R.teichmuller(a)] for a in R.residue_field.elements()], dtype=np.int32
+    )
+    p_idx = index[R.from_int(p)]
+    q = p**m
+    n0, n1 = deg0 + 1, deg1 + 1
+    grids = np.indices((q,) * (n0 + n1), dtype=np.int32).reshape(n0 + n1, -1)
+    c0 = [teich[grids[k]] for k in range(n0)]
+    c1 = [teich[grids[n0 + k]] for k in range(n1)]
+    counts = np.zeros((p**l, grids.shape[1]), dtype=np.int64)
+    for a in range(q):
+        xi = int(teich[a])
+        acc0 = c0[-1]
+        for k in range(n0 - 2, -1, -1):
+            acc0 = add[mul[acc0, xi], c0[k]]
+        acc1 = c1[-1]
+        for k in range(n1 - 2, -1, -1):
+            acc1 = add[mul[acc1, xi], c1[k]]
+        e = tr[add[acc0, mul[acc1, p_idx]]] % p**l
+        for t in range(p**l):
+            counts[t] += e == t
+    return counts
 
 
 def oracle_sum_p1(fvec, d, exclusions, twist_key=None):
@@ -357,6 +400,33 @@ def test_trace_tables_match_oracle(p, l, m, d, twist):
 
 def test_trace_table_cache_is_bounded():
     assert _digit_trace_tables.cache_info().maxsize >= 64
+
+
+# -- the Kumar sweep ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "p, m, deg0, deg1",
+    [(2, 1, 2, 2), (2, 2, 2, 1), (2, 3, 1, 1), (2, 3, 0, 2),
+     (3, 1, 2, 2), (3, 2, 1, 1), (3, 2, 0, 1)],
+)
+def test_kumar_counts_match_ring_table_oracle(p, m, deg0, deg1):
+    result = sweep_kumar(p, 2, m, deg0, deg1)
+    want = oracle_kumar_counts(p, 2, m, deg0, deg1)
+    assert np.array_equal(result.counts, want[:, result.index])
+    # the skipped instances are exactly the q^2 with constant digits
+    q = p**m
+    assert want.shape[1] - len(result) == q * q
+    assert ((result.deg0 > 0) | (result.deg1 > 0)).all()
+    # |S|^2 against the oracle's exact sum, and the verdict |S|^2 <= B^2
+    for i in range(0, len(result), max(1, len(result) // 40)):
+        S = _exponent_counts_to_cyclotomic(p, 2, want[:, result.index[i]].tolist())
+        if p == 2:
+            norm = S * S.conjugate_power(3)
+            assert norm == CyclotomicInteger.from_int(2, 2, int(result.s2[i]))
+        else:
+            assert abs(result.s2[i] - abs(S.complex_value()) ** 2) < 1e-9
+        assert result.passed[i] == (result.s2[i] <= result.b2[i])
 
 
 # -- P^1 point sums -----------------------------------------------------------
@@ -680,8 +750,13 @@ def test_sum_witt_p1_removable_pole_twisted_over_f9(d):
     base = witt_function(K, [x, x**2])
     h = RationalFunction.from_poly(pi).inverse()
     fvec = base + wp(witt_function(K, [h, RationalFunction.zero(F)]))
-    twist = get_galois_ring(3, 2, 2).from_int(5)
+    R = get_galois_ring(3, 2, 2)
     excl = [InfinitePlace(F)]
-    res = sum_witt(fvec, d, exclusions=excl, twist=twist)
-    assert res.term_count == F.q**d
-    assert res.value == sum_witt(base, d, exclusions=excl, twist=twist).value
+    for twist in (R.from_int(5), R.from_int(2)):
+        res = sum_witt(fvec, d, exclusions=excl, twist=twist)
+        assert res.term_count == F.q**d
+        assert res.value == sum_witt(base, d, exclusions=excl, twist=twist).value
+    # off Z/9 the reduced value at the pole place is not a value of the class
+    with pytest.raises(ValueError):
+        sum_witt(fvec, d, exclusions=excl, twist=R.element((1, 1)))
+    assert sum_witt(base, d, exclusions=excl, twist=R.element((1, 1))).term_count == F.q**d
