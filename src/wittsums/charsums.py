@@ -178,11 +178,8 @@ def _digit_trace_tables(p: int, l: int, m: int, d: int, twist_key):
 
 
 def _exponent_counts_to_cyclotomic(p, l, counts):
-    acc = CyclotomicInteger.zero(p, l)
-    for t, c in enumerate(counts):
-        if c:
-            acc = acc + c * CyclotomicInteger.zeta_pow(p, l, t)
-    return acc
+    """sum_t counts[t] zeta^t, reduced."""
+    return CyclotomicInteger._reduce(p, l, counts)
 
 
 # -- point sums over curves ----------------------------------------------
@@ -632,7 +629,11 @@ def _kumar_verdicts(p: int, q: int, counts, b2):
     passed = s2 <= b2
     for i in np.flatnonzero(np.abs(s2 - b2) <= margin):
         S = _exponent_counts_to_cyclotomic(p, 2, counts[:, i].tolist())
-        if S * S.conjugate_power(pl_mod - 1) != CyclotomicInteger.from_int(p, 2, int(b2[i])):
+        if b2[i] == 0:
+            exact = S.is_zero()
+        else:
+            exact = S * S.conjugate_power(pl_mod - 1) == CyclotomicInteger.from_int(p, 2, int(b2[i]))
+        if not exact:
             # a nonzero algebraic integer this small: double precision
             # cannot tell its sign
             raise ArithmeticError(
