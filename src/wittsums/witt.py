@@ -105,8 +105,8 @@ def _universal_monomials(p: int, l: int) -> int:
     of weighted degree p^(l-1), where the last sum polynomial lives; the
     build cost grows with this count."""
     n = p ** (l - 1)
-    if n > 4 * UNIVERSAL_MONOMIAL_CAP:
-        return n + 1  # already above the cap: the X_0^a Y_0^(n-a) alone
+    if n >= UNIVERSAL_MONOMIAL_CAP:
+        return n + 1  # above the cap already: the X_0^a Y_0^(n-a) alone
     ways = [1] + [0] * n
     for j in range(2 * l):
         w = p ** (j % l)
