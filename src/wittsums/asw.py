@@ -14,21 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elliptic import (
-    AffinePlace,
-    EllipticFunction,
-    EllipticFunctionField,
-    OriginPlace,
-)
-from .fields import get_embedding
 from .galois_rings import get_galois_ring
-from .poly import Poly, roots_in_field
-from .rational import (
-    FinitePlace,
-    InfinitePlace,
-    RationalFunction,
-    RationalFunctionField,
-)
 from .witt import WittParams, WittVector
 
 
@@ -47,165 +33,6 @@ def wp(f: WittVector) -> WittVector:
     return f.frobenius() - f
 
 
-# -- local place adapters ------------------------------------------------
-
-
-class _LocalPlace:
-    """Uniform local interface: valuation, leading coefficient, value at the
-    place, and witness functions with a prescribed pole order there."""
-
-    def valuation(self, f) -> int:
-        raise NotImplementedError
-
-    def leading(self, f) -> int:
-        raise NotImplementedError
-
-    def value(self, f) -> int:
-        raise NotImplementedError
-
-    def witness_base(self, s: int):
-        """(g, lam): a function with v_P(g) = -s and leading coefficient lam."""
-        raise NotImplementedError
-
-
-class _LocalP1(_LocalPlace):
-    """A rational place of P^1 (finite of degree 1, or infinity)."""
-
-    def __init__(self, ring: RationalFunctionField, place):
-        if isinstance(place, FinitePlace) and place.degree != 1:
-            raise ValueError("local adapter needs a rational place")
-        self.ring = ring
-        self.place = place
-        self.field = ring.field
-
-    def valuation(self, f: RationalFunction) -> int:
-        return f.valuation_at(self.place)
-
-    def leading(self, f: RationalFunction) -> int:
-        v = f.valuation_at(self.place)
-        return f.laurent_at(self.place, v + 1).leading()
-
-    def value(self, f: RationalFunction) -> int:
-        return f.laurent_at(self.place, 1).coeff(0)
-
-    def witness_base(self, s: int):
-        F = self.field
-        x = RationalFunction.x(F)
-        if isinstance(self.place, InfinitePlace):
-            return x**s, 1
-        alpha = F.neg(self.place.poly.coeffs[0])
-        lin = x - RationalFunction.const(F, alpha)
-        return lin ** (-s), 1
-
-
-class _LocalElliptic(_LocalPlace):
-    """The origin or a rational affine place of an elliptic curve."""
-
-    def __init__(self, ring: EllipticFunctionField, place):
-        self.ring = ring
-        self.place = place
-        self.curve = ring.curve
-        self.field = ring.field
-        if isinstance(place, AffinePlace):
-            if place.degree != 1:
-                raise ValueError("local adapter needs a rational place")
-
-    def valuation(self, f: EllipticFunction) -> int:
-        return f.valuation_at(self.place)
-
-    def leading(self, f: EllipticFunction) -> int:
-        v = f.valuation_at(self.place)
-        return f.laurent_at(self.place, v + 1).leading()
-
-    def value(self, f: EllipticFunction) -> int:
-        return f.laurent_at(self.place, 1).coeff(0)
-
-    def witness_base(self, s: int):
-        E = self.curve
-        F = self.field
-        if isinstance(self.place, OriginPlace):
-            # pole orders at the origin: x has 2, y has 3; x^a or x^a*y
-            # realizes every order s >= 2, and y/x realizes order 1
-            if s == 1:
-                g = EllipticFunction.y(E) / EllipticFunction.x(E)
-            elif s % 2 == 0:
-                g = EllipticFunction.x(E) ** (s // 2)
-            else:
-                g = EllipticFunction.x(E) ** ((s - 3) // 2) * EllipticFunction.y(E)
-            v = g.valuation_at(self.place)
-            if v != -s:
-                raise ArithmeticError(f"witness has pole order {-v} at the origin, not {s}")
-            lam = g.laurent_at(self.place, v + 1).leading()
-            return g, lam
-        x0, y0 = self.place.representative
-        e = self.place.emb if self.place.emb else (lambda c: c)
-        a1, a3 = e(E.a1), e(E.a3)
-        big = self.place.big
-        gy = big.add(big.add(y0, y0), big.add(big.mul(a1, x0), a3))
-        if gy != 0:
-            lin = EllipticFunction.x(E) - EllipticFunction.const(E, x0)
-        else:
-            lin = EllipticFunction.y(E) - EllipticFunction.const(E, y0)
-        g = lin ** (-s)
-        return g, 1
-
-
-def _local_adapter(ring, place) -> _LocalPlace:
-    if isinstance(ring, RationalFunctionField):
-        return _LocalP1(ring, place)
-    if isinstance(ring, EllipticFunctionField):
-        return _LocalElliptic(ring, place)
-    raise TypeError(f"unsupported function-field ring {ring!r}")
-
-
-def _extend_to_rational(f: WittVector, place):
-    """Base-change f so that a higher-degree place acquires a rational place
-    above it; returns (f', place', ring').  Reduced pole orders are stable
-    under constant-field extension, so rp may be computed upstairs."""
-    ring = f.ring
-    if isinstance(ring, RationalFunctionField):
-        if isinstance(place, InfinitePlace) or place.degree == 1:
-            return f, place, ring
-        F = ring.field
-        e = place.degree
-        emb = get_embedding(F.p, F.m, F.m * e)
-        root = min(roots_in_field(place.poly.map_field(emb)))
-        big = emb.big
-        new_place = FinitePlace(Poly(big, (big.neg(root), 1)))
-        new_ring = RationalFunctionField(big)
-        coords = [c.map_field(emb) for c in f.coords]
-        return witt_function(new_ring, coords), new_place, new_ring
-    if isinstance(ring, EllipticFunctionField):
-        if isinstance(place, OriginPlace) or place.degree == 1:
-            if isinstance(place, AffinePlace) and place.ext_degree != 1:
-                # rational point recorded over an extension field: descend
-                F = ring.field
-                x0, y0 = place.representative
-                x0d = _descend_code(place.big, F, x0)
-                y0d = _descend_code(place.big, F, y0)
-                place = AffinePlace.from_point(ring.curve, F, None, x0d, y0d)
-            return f, place, ring
-        F = ring.field
-        e = place.ext_degree
-        emb = get_embedding(F.p, F.m, F.m * e)
-        coords = [c.map_field(emb) for c in f.coords]
-        big_curve = ring.curve.map_field(emb)
-        x0, y0 = place.representative
-        new_place = AffinePlace.from_point(big_curve, emb.big, None, x0, y0)
-        new_ring = EllipticFunctionField(big_curve)
-        return witt_function(new_ring, coords), new_place, new_ring
-    raise TypeError(f"unsupported function-field ring {ring!r}")
-
-
-def _descend_code(big, small, code):
-    """Invert a field embedding on a code known to lie in the small field."""
-    emb = get_embedding(small.p, small.m, big.m)
-    for a in small.elements():
-        if emb(a) == code:
-            return a
-    raise ValueError("code does not lie in the subfield")
-
-
 @dataclass
 class ReducedForm:
     reduced: WittVector
@@ -218,9 +45,14 @@ class ReducedForm:
 
 def artin_reduce_at(f: WittVector, place) -> ReducedForm:
     """A representative of f mod P(W_l) whose coordinate valuations at the
-    place are each >= 0 or prime to p."""
-    f, place, ring = _extend_to_rational(f, place)
-    local = _local_adapter(ring, place)
+    place are each >= 0 or prime to p.
+
+    A place of degree > 1 is first replaced by a rational place above it,
+    over the constant-field extension that holds its points; reduced pole
+    orders are stable under constant-field extension."""
+    ring, place, emb = f.ring.rational_above(place)
+    if emb is not None:
+        f = witt_function(ring, [c.map_field(emb) for c in f.coords])
     p, l = f.params.p, f.params.l
     res_field = ring.field
     r = f
@@ -230,12 +62,12 @@ def artin_reduce_at(f: WittVector, place) -> ReducedForm:
             fi = r.coords[i]
             if ring.is_zero(fi):
                 break
-            v = local.valuation(fi)
+            v = fi.valuation_at(place)
             if v >= 0 or (-v) % p != 0:
                 break
             s = (-v) // p
-            a = local.leading(fi)
-            base, lam = local.witness_base(s)
+            a = fi.laurent_at(place, v + 1).leading()
+            base, lam = ring.witness(place, s)
             c = res_field.pth_root(res_field.div(a, res_field.pow(lam, p)))
             g = base.scale(c)
             gv = WittVector.teichmuller(f.params, ring, g).verschiebung(i)
@@ -255,19 +87,19 @@ def reduced_pole_order(f: WittVector, place) -> int:
     """
     rf = artin_reduce_at(f, place)
     ring = rf.reduced.ring
-    local = _local_adapter(ring, rf.place)
     p, l = f.params.p, f.params.l
     vals = []
     for i, fi in enumerate(rf.reduced.coords):
         if ring.is_zero(fi):
             continue
-        v = local.valuation(fi)
+        v = fi.valuation_at(rf.place)
         if v < 0:
             vals.append(p ** (l - 1 - i) * (-v))
     if vals:
         return max(vals)
     digits = tuple(
-        0 if ring.is_zero(fi) else local.value(fi) for fi in rf.reduced.coords
+        0 if ring.is_zero(fi) else fi.laurent_at(rf.place, 1).coeff(0)
+        for fi in rf.reduced.coords
     )
     R = get_galois_ring(p, l, ring.field.m)
     tr = R.absolute_trace(R.from_digits(digits))
@@ -275,37 +107,15 @@ def reduced_pole_order(f: WittVector, place) -> int:
 
 
 def candidate_pole_places(f: WittVector) -> list:
-    """Union of the coordinate pole divisors, deterministically ordered."""
+    """Union of the coordinate pole divisors, in the ring's place order
+    (the base place first)."""
     ring = f.ring
-    if isinstance(ring, RationalFunctionField):
-        seen = {}
-        inf = False
-        for c in f.coords:
-            if c.is_zero():
-                continue
+    seen = {}
+    for c in f.coords:
+        if not c.is_zero():
             for pl, _ in c.pole_divisor():
-                if isinstance(pl, InfinitePlace):
-                    inf = True
-                else:
-                    seen[(pl.poly.degree, pl.poly.coeffs)] = pl
-        out: list = [InfinitePlace(ring.field)] if inf else []
-        out.extend(pl for _, pl in sorted(seen.items()))
-        return out
-    if isinstance(ring, EllipticFunctionField):
-        origin = False
-        seen = {}
-        for c in f.coords:
-            if c.is_zero():
-                continue
-            for pl, _ in c.pole_divisor():
-                if isinstance(pl, OriginPlace):
-                    origin = True
-                else:
-                    seen[(pl.ext_degree, pl.orbit)] = pl
-        out = [OriginPlace(ring.curve)] if origin else []
-        out.extend(pl for _, pl in sorted(seen.items()))
-        return out
-    raise TypeError(f"unsupported function-field ring {ring!r}")
+                seen[ring.place_key(pl)] = pl
+    return [pl for _, pl in sorted(seen.items())]
 
 
 @dataclass

@@ -10,9 +10,10 @@ A point's exponent is a sum of table lookups, one per Witt digit: the
 per-extension trace table (`_digit_trace_tables`, a numpy array) holds the
 exponent of every digit in every slot, built as the orbit of 1 under
 multiplication by a Teichmuller generator, block by block.  One engine sums
-over P^1 and elliptic curves alike: a small curve adapter gives the affine
-points over F_{q^d} as code arrays (x alone on P^1, x and y on an elliptic
-curve), masks for the points of a place, and the base place (infinity or the
+over P^1 and elliptic curves alike, through the curve adapter that each
+function-field ring carries: the affine points over F_{q^d} as code arrays
+(x alone on P^1, x and y on an elliptic curve), the mask of a place's points,
+the places above a denominator's factor, and the base place (infinity or the
 origin).  Each coordinate is evaluated over all points at once through the
 field's array operations and the exponents are counted with one bincount.
 The base place and the places above a denominator's factor are summed once
@@ -44,15 +45,12 @@ from .asw import (
     witt_function,
 )
 from .cyclotomic import CyclotomicInteger
-from .elliptic import OriginPlace
 from .fields import _linear_orbit, extension, get_field
 from .galois_rings import GaloisRing, get_galois_ring, get_gr_embedding
 from .poly import Poly, PolynomialRing, factor
 from .rational import (
     ENUMERATION_CAP,
     EnumerationCapError,
-    FinitePlace,
-    InfinitePlace,
     RationalFunction,
     RationalFunctionField,
 )
@@ -177,45 +175,19 @@ def _digit_trace_tables(p: int, l: int, m: int, d: int, twist_key):
     return contrib
 
 
-def _exponent_counts_to_cyclotomic(p, l, counts):
-    """sum_t counts[t] zeta^t, reduced."""
-    return CyclotomicInteger._reduce(p, l, counts)
-
-
 # -- point sums over curves ----------------------------------------------
 
 
-def _curve_points(fvec, big, emb):
-    """The curve adapter: the affine points over `big` as a tuple of code
-    arrays, the arguments of the coordinates' eval_array ((xs,) on P^1,
-    (xs, ys) on an elliptic curve); a map from a finite place to the mask
-    of its points; the base place (infinity, or the origin); and the places
-    above the irreducible factors of the denominators, where an array
-    evaluation could divide by zero (every pole of f is among them)."""
-    ring = fvec.ring
-    p1 = isinstance(ring, RationalFunctionField)
+def _denominator_places(fvec):
+    """The places above the irreducible factors of the coordinates'
+    denominators, where an array evaluation could divide by zero (every
+    pole of f off the base place is among them)."""
     pis = {}
     for c in fvec.coords:
-        for r in (c,) if p1 else (c.u, c.v):
-            for pi, _ in factor(r.den):
+        for den in c.denominators():
+            for pi, _ in factor(den):
                 pis[(pi.degree, pi.coeffs)] = pi
-    pis = [pi for _, pi in sorted(pis.items())]
-    if p1:
-        xs = np.arange(big.q)
-
-        def on(place):
-            pol = place.poly.map_field(emb) if emb else place.poly
-            return pol.eval_array(xs) == 0
-
-        return (xs,), on, InfinitePlace(ring.field), [FinitePlace(pi) for pi in pis]
-    E = ring.curve
-    xs, ys = E.points_above(big, emb, np.arange(big.q))
-    keys = xs * big.q + ys
-
-    def on(place):
-        return np.isin(keys, [x * big.q + y for x, y in place.points_in(big)])
-
-    return (xs, ys), on, OriginPlace(E), [pl for pi in pis for pl in E.places_above(pi)]
+    return [pl for _, pi in sorted(pis.items()) for pl in fvec.ring.places_above(pi)]
 
 
 def _digits_at(fvec, place, twist_key):
@@ -270,16 +242,17 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None) -> CharS
     twist_key = tuple(twist) if twist is not None else None
     pl_mod = p**l
     counts = np.zeros(pl_mod, dtype=np.int64)
-    points, on, base, special = _curve_points(fvec, big, emb)
+    points = ring.points_over(big, emb)
+    base = ring.base_place
     free = np.ones(len(points[0]), dtype=bool)
     for e in exclusions:
         if e != base:
-            free &= ~on(e)
+            free &= ~ring.place_mask(e, points, big, emb)
     summed = [] if base in exclusions else [(base, 1)]
-    for pl_ in special:
+    for pl_ in _denominator_places(fvec):
         if pl_ in exclusions or d % pl_.degree:
             continue  # a place of degree e has k_d-points only when e | d
-        at = free & on(pl_)
+        at = free & ring.place_mask(pl_, points, big, emb)
         if at.any():
             free &= ~at
             summed.append((pl_, int(at.sum())))
@@ -295,7 +268,7 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None) -> CharS
         if not c.is_zero():  # digit 0 contributes exponent 0
             t += contrib[i][c.eval_array(*rest, big, emb)]
     counts += np.bincount(t % pl_mod, minlength=pl_mod)
-    value = _exponent_counts_to_cyclotomic(p, l, counts.tolist())
+    value = CyclotomicInteger._reduce(p, l, counts.tolist())
     return CharSumResult.from_value(value, int(counts.sum()), exclusions)
 
 
@@ -307,8 +280,7 @@ def theorem12_check(R: GaloisRing, coeffs, twist=None) -> bool:
     its Witt image over the affine line."""
     lhs = sum_teichmuller(R, coeffs, twist=twist)
     fvec = gamma_s_rational(R, coeffs)
-    inf = InfinitePlace(R.residue_field)
-    rhs = sum_witt(fvec, 1, exclusions=[inf], twist=twist)
+    rhs = sum_witt(fvec, 1, exclusions=[fvec.ring.base_place], twist=twist)
     return lhs.value == rhs.value
 
 
@@ -628,7 +600,7 @@ def _kumar_verdicts(p: int, q: int, counts, b2):
     margin = 8 * q * q * (pl_mod + 34) * np.finfo(np.float64).eps
     passed = s2 <= b2
     for i in np.flatnonzero(np.abs(s2 - b2) <= margin):
-        S = _exponent_counts_to_cyclotomic(p, 2, counts[:, i].tolist())
+        S = CyclotomicInteger._reduce(p, 2, counts[:, i].tolist())
         if b2[i] == 0:
             exact = S.is_zero()
         else:
@@ -693,23 +665,25 @@ def sweep_kumar(p: int, l: int, m: int, deg0: int, deg1: int) -> SweepResult:
 
 
 def sweep_thm31_p1(p: int, l: int, m: int, max_a: int, max_b: int, d: int = 1) -> SweepResult:
-    """Conductor-bound check for fvec = (x^a, x^b) on P^1."""
+    """Conductor-bound check for fvec = (x^a, x^b) on P^1, or (x^a) when
+    l = 1."""
     F = get_field(p, m)
     K = RationalFunctionField(F)
     x = RationalFunction.x(F)
     zero = RationalFunction.zero(F)
+    if l == 1:
+        cases = [((x**a,), f"(x^{a})") for a in range(1, max_a + 1)]
+    else:
+        cases = [((x**a, x**b if b else zero), f"(x^{a},x^{b})")
+                 for a in range(1, max_a + 1) for b in range(max_b + 1)]
     names, measured, bounds = [], [], []
-    for a in range(1, max_a + 1):
-        for b in range(0, max_b + 1):
-            coords = (x**a, x**b if b else zero)
-            if l == 1:
-                coords = (x**a,)
-            fvec = witt_function(K, coords)
-            if not is_nondegenerate(fvec):
-                continue
-            bounds.append(bound_thm31(fvec, d))
-            measured.append(sum_witt(fvec, d).modulus)
-            names.append(f"(x^{a},x^{b})_d{d}")
+    for coords, name in cases:
+        fvec = witt_function(K, coords)
+        if not is_nondegenerate(fvec):
+            continue
+        bounds.append(bound_thm31(fvec, d))
+        measured.append(sum_witt(fvec, d).modulus)
+        names.append(f"{name}_d{d}")
     return _float_sweep(names, measured, bounds)
 
 

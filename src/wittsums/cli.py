@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: sum, lfun, bound, verify, witt, genus.  Output is deterministic
-JSON (or CSV for sweeps), optionally written to a file with --out.
+JSON (or CSV for `verify` sweeps), optionally written to a file with --out.
 
 Exit codes: 0 success (and, for `verify`, zero violations), 1 verification
 violations found, 2 usage or parse error, 3 enumeration cap exceeded,
@@ -70,7 +70,7 @@ def _cyclotomic_coeffs(c):
 
 def _write(args, text: str):
     """Write text to --out, or to stdout."""
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -78,12 +78,8 @@ def _write(args, text: str):
 
 
 def _emit(args, payload):
-    """Write the JSON payload with a trailing newline, deterministically;
-    --format csv writes nothing (only `verify` has CSV rows)."""
-    if getattr(args, "format", "json") == "csv":
-        _write(args, "")
-    else:
-        _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write the JSON payload with a trailing newline, deterministically."""
+    _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # one report of `verify`, as json.dumps(..., sort_keys=True, indent=2) writes it
@@ -337,7 +333,7 @@ def cmd_witt(args) -> int:
     text = "(" + ",".join(str(c) for c in out.coords) + ")"
     payload = {"op": op, "p": p, "l": args.l, "over": name,
                "inputs": list(args.vectors), "result": text}
-    if getattr(args, "format", "json") == "json" and not getattr(args, "out", None):
+    if not args.out:
         sys.stdout.write(text + "\n")
         return EXIT_OK
     _emit(args, payload)
@@ -363,7 +359,6 @@ def cmd_genus(args) -> int:
 
 
 def _add_common(sp):
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--out", default=None, help="write output to a file")
 
 
@@ -413,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-a", type=int, default=3)
     sp.add_argument("--max-b", type=int, default=3)
     sp.add_argument("--d", type=int, default=1)
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
     _add_common(sp)
     sp.set_defaults(func=cmd_verify)
 

@@ -13,8 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import FiniteField, extension, get_embedding_over
-from .poly import Poly, factor, roots_in_field
+from .fields import FiniteField, extension, get_embedding, get_embedding_over
+from .poly import OperatorRing, Poly, factor, power, roots_in_field
 from .rational import ENUMERATION_CAP, EnumerationCapError, RationalFunction
 from .series import LaurentSeries, PrecisionError, eval_poly_at_series
 
@@ -263,6 +263,16 @@ class AffinePlace:
     def representative(self):
         return self.orbit[0]
 
+    @property
+    def unramified_over_x(self) -> bool:
+        """Whether x - x0 is a local parameter at the place, that is
+        dG/dy = 2 y0 + a1 x0 + a3 != 0 at its representative; otherwise
+        y - y0 is."""
+        E, big = self.curve, self.big
+        e = self.emb if self.emb else (lambda c: c)
+        x0, y0 = self.representative
+        return big.add(big.add(y0, y0), big.add(big.mul(e(E.a1), x0), e(E.a3))) != 0
+
     def __eq__(self, other):
         return (
             isinstance(other, AffinePlace)
@@ -344,16 +354,12 @@ def _affine_xy_series(place: AffinePlace, prec: int):
     big, emb = place.big, place.emb
     e = emb if emb else (lambda c: c)
     x0, y0 = place.representative
-    a1, a3 = e(curve.a1), e(curve.a3)
-    gy = big.add(
-        big.add(y0, y0), big.add(big.mul(a1, x0), a3)
-    )  # dG/dy = 2y + a1*x + a3
-    if gy != 0:
+    if place.unramified_over_x:
         x_s = LaurentSeries(big, 0, [x0, 1], prec)
         y_s = _newton_y_series(curve, big, emb, x_s, y0, prec)
         return x_s, y_s
     # ramified over x: parameter t = y - y0, solve for x by Newton
-    a2, a4 = e(curve.a2), e(curve.a4)
+    a1, a2, a4 = e(curve.a1), e(curve.a2), e(curve.a4)
     y_s = LaurentSeries(big, 0, [y0, 1], prec)
     # dG/dx = a1*y - (3x^2 + 2*a2*x + a4)
     dgx0 = big.sub(
@@ -431,6 +437,10 @@ class EllipticFunction:
     def is_zero(self) -> bool:
         return self.u.is_zero() and self.v.is_zero()
 
+    def denominators(self) -> tuple:
+        """The polynomials in x whose zeros carry every affine pole."""
+        return (self.u.den, self.v.den)
+
     def __eq__(self, other):
         if not isinstance(other, EllipticFunction):
             return NotImplemented
@@ -485,15 +495,7 @@ class EllipticFunction:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        res = EllipticFunction.one(self.curve)
-        base = self
-        while n:
-            if n & 1:
-                res = res * base
-            n >>= 1
-            if n:
-                base = base * base
-        return res
+        return power(self, n, EllipticFunction.one(self.curve))
 
     def scale(self, c: int) -> "EllipticFunction":
         return EllipticFunction(self.curve, self.u.scale(c), self.v.scale(c))
@@ -567,8 +569,8 @@ class EllipticFunction:
         """[(place, pole order)] over all poles, deterministic order."""
         out = []
         seen_pis = {}
-        for f in (self.u, self.v):
-            for pi, _ in factor(f.den):
+        for den in self.denominators():
+            for pi, _ in factor(den):
                 seen_pis.setdefault((pi.degree, pi.coeffs), pi)
         for _, pi in sorted(seen_pis.items()):
             for pl in self.curve.places_above(pi):
@@ -584,48 +586,96 @@ class EllipticFunction:
         return f"EllipticFunction(({self.u}) + ({self.v})*y)"
 
 
-class EllipticFunctionField:
-    """The function field of a curve as a Witt coefficient ring."""
+def _descend_code(big: FiniteField, small: FiniteField, code: int) -> int:
+    """Invert a field embedding on a code known to lie in the small field."""
+    emb = get_embedding(small.p, small.m, big.m)
+    for a in small.elements():
+        if emb(a) == code:
+            return a
+    raise ValueError("code does not lie in the subfield")
+
+
+class EllipticFunctionField(OperatorRing):
+    """The function field of a curve as a Witt coefficient ring, with the
+    curve's adapter: the base place is the origin, the affine points are
+    the code pairs (x, y), and a place is its Frobenius orbit of points."""
 
     genus = 1
 
     def __init__(self, curve: EllipticCurve):
         self.curve = curve
         self.field = curve.field
-        self.char = curve.field.p
 
-    def zero(self):
-        return EllipticFunction.zero(self.curve)
+    @property
+    def key(self):
+        return self.curve
 
-    def one(self):
-        return EllipticFunction.one(self.curve)
+    def const(self, c: int):
+        return EllipticFunction.const(self.curve, c)
 
-    def from_int(self, n: int):
-        return EllipticFunction.const(self.curve, n % self.curve.field.p)
+    # -- the curve adapter
 
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
+    @property
+    def base_place(self) -> OriginPlace:
+        return OriginPlace(self.curve)
 
-    def eq(self, a, b) -> bool:
-        return a == b
+    def places_above(self, pi: Poly) -> list:
+        return self.curve.places_above(pi)
 
-    def add(self, a, b):
-        return a + b
+    def place_key(self, place):
+        """Sort key: the origin first, then by field degree and orbit."""
+        if isinstance(place, OriginPlace):
+            return (0,)
+        return (place.ext_degree, place.orbit)
 
-    def sub(self, a, b):
-        return a - b
+    def points_over(self, big: FiniteField, emb) -> tuple:
+        """The affine points over `big` as code arrays: (xs, ys)."""
+        return self.curve.points_above(big, emb, np.arange(big.q))
 
-    def neg(self, a):
-        return -a
+    def place_mask(self, place: AffinePlace, points, big: FiniteField, emb):
+        """Which of `points` (from points_over) lie on an affine place."""
+        xs, ys = points
+        on = [x * big.q + y for x, y in place.points_in(big)]
+        return np.isin(xs * big.q + ys, on)
 
-    def mul(self, a, b):
-        return a * b
+    def witness(self, place, s: int):
+        """(g, lam): v_P(g) = -s with leading coefficient lam, at the origin
+        or a rational affine place."""
+        E = self.curve
+        x, y = EllipticFunction.x(E), EllipticFunction.y(E)
+        if isinstance(place, OriginPlace):
+            # pole orders at the origin: x has 2, y has 3; x^a or x^a*y
+            # realizes every order s >= 2, and y/x realizes order 1
+            if s == 1:
+                g = y / x
+            elif s % 2 == 0:
+                g = x ** (s // 2)
+            else:
+                g = x ** ((s - 3) // 2) * y
+            v = g.valuation_at(place)
+            if v != -s:
+                raise ArithmeticError(f"witness has pole order {-v} at the origin, not {s}")
+            return g, g.laurent_at(place, v + 1).leading()
+        if place.ext_degree != 1:
+            raise ValueError("a witness needs a rational place")
+        x0, y0 = place.representative
+        if place.unramified_over_x:
+            lin = x - EllipticFunction.const(E, x0)
+        else:
+            lin = y - EllipticFunction.const(E, y0)
+        return lin ** (-s), 1
 
-    def pow(self, a, n):
-        return a**n
-
-    def __eq__(self, other):
-        return isinstance(other, EllipticFunctionField) and self.curve == other.curve
-
-    def __hash__(self):
-        return hash(("EllipticFunctionField", self.curve))
+    def rational_above(self, place):
+        """(ring', place', emb): a rational place above `place`, over the
+        constant-field extension that holds its points, with the embedding
+        of the constants (None when no extension is needed)."""
+        if place.degree == 1:
+            if isinstance(place, AffinePlace) and place.ext_degree != 1:
+                # a rational point recorded over an extension field: descend
+                x0, y0 = (_descend_code(place.big, self.field, c) for c in place.representative)
+                place = AffinePlace.from_point(self.curve, self.field, None, x0, y0)
+            return self, place, None
+        big, emb = extension(self.field, place.ext_degree)
+        curve = self.curve.map_field(emb)
+        x0, y0 = place.representative
+        return EllipticFunctionField(curve), AffinePlace.from_point(curve, big, None, x0, y0), emb

@@ -13,6 +13,18 @@ import numpy as np
 from .fields import FiniteField, primefactors
 
 
+def power(base, n: int, one):
+    """base^n by square-and-multiply, n >= 0, for any element with `*`."""
+    res = one
+    while n:
+        if n & 1:
+            res = res * base
+        n >>= 1
+        if n:
+            base = base * base
+    return res
+
+
 class Poly:
     __slots__ = ("field", "coeffs")
 
@@ -114,14 +126,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        res = Poly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                res = res * base
-            base = base * base
-            n >>= 1
-        return res
+        return power(self, n, Poly.one(self.field))
 
     def divmod(self, other: "Poly"):
         F = self.field
@@ -358,26 +363,40 @@ def irreducibles_of_degree(field: FiniteField, d: int):
     return out
 
 
-class PolynomialRing:
-    """k[T] as a Witt coefficient ring (elements are Poly)."""
+class OperatorRing:
+    """A Witt coefficient ring whose elements carry their own arithmetic
+    operators (+, -, *, **, ==, is_zero).
 
-    def __init__(self, field: FiniteField):
-        self.field = field
-        self.char = field.p
+    A subclass sets `field`, builds constants with `const(c)` and names its
+    identity with `key`; two rings are equal when their types and keys are.
+    """
+
+    field: FiniteField
+
+    @property
+    def char(self) -> int:
+        return self.field.p
+
+    @property
+    def key(self):
+        raise NotImplementedError
+
+    def const(self, c: int):
+        raise NotImplementedError
 
     def zero(self):
-        return Poly.zero(self.field)
+        return self.const(0)
 
     def one(self):
-        return Poly.one(self.field)
+        return self.const(1)
 
     def from_int(self, n: int):
-        return Poly.const(self.field, n % self.field.p)
+        return self.const(n % self.field.p)
 
-    def is_zero(self, a: Poly) -> bool:
+    def is_zero(self, a) -> bool:
         return a.is_zero()
 
-    def eq(self, a: Poly, b: Poly) -> bool:
+    def eq(self, a, b) -> bool:
         return a == b
 
     def add(self, a, b):
@@ -396,7 +415,21 @@ class PolynomialRing:
         return a**n
 
     def __eq__(self, other):
-        return isinstance(other, PolynomialRing) and self.field == other.field
+        return type(other) is type(self) and self.key == other.key
 
     def __hash__(self):
-        return hash(("PolynomialRing", self.field))
+        return hash((type(self).__name__, self.key))
+
+
+class PolynomialRing(OperatorRing):
+    """k[T] as a Witt coefficient ring (elements are Poly)."""
+
+    def __init__(self, field: FiniteField):
+        self.field = field
+
+    @property
+    def key(self):
+        return self.field
+
+    def const(self, c: int):
+        return Poly.const(self.field, c)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fields import EnumerationCapError, FiniteField, extension
-from .poly import Poly, factor, irreducibles_of_degree, roots_in_field
+from .poly import OperatorRing, Poly, factor, irreducibles_of_degree, power, roots_in_field
 from .series import LaurentSeries, eval_poly_at_series
 
 ENUMERATION_CAP = 10**7
@@ -104,6 +106,10 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
+    def denominators(self) -> tuple:
+        """The polynomials whose zeros are the only possible finite poles."""
+        return (self.den,)
+
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -143,15 +149,7 @@ class RationalFunction:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        res = RationalFunction.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                res = res * base
-            n >>= 1
-            if n:
-                base = base * base
-        return res
+        return power(self, n, RationalFunction.one(self.field))
 
     def scale(self, c: int) -> "RationalFunction":
         return RationalFunction(self.num.scale(c), self.den, _normalized=c != 0)
@@ -269,47 +267,65 @@ def places_up_to_degree(field: FiniteField, dmax: int) -> list:
     return out
 
 
-class RationalFunctionField:
-    """k(x) as a Witt coefficient ring (elements are RationalFunction)."""
+class RationalFunctionField(OperatorRing):
+    """k(x) as a Witt coefficient ring (elements are RationalFunction),
+    with the curve adapter of P^1: the base place is infinity, the affine
+    points are the codes x, and a finite place is the zero set of its
+    polynomial."""
 
     genus = 0
 
     def __init__(self, field: FiniteField):
         self.field = field
-        self.char = field.p
 
-    def zero(self):
-        return RationalFunction.zero(self.field)
+    @property
+    def key(self):
+        return self.field
 
-    def one(self):
-        return RationalFunction.one(self.field)
+    def const(self, c: int):
+        return RationalFunction.const(self.field, c)
 
-    def from_int(self, n: int):
-        return RationalFunction.const(self.field, n % self.field.p)
+    # -- the curve adapter
 
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
+    @property
+    def base_place(self) -> InfinitePlace:
+        return InfinitePlace(self.field)
 
-    def eq(self, a, b) -> bool:
-        return a == b
+    def places_above(self, pi: Poly) -> list:
+        """The places over a monic irreducible pi(x): pi itself."""
+        return [FinitePlace(pi)]
 
-    def add(self, a, b):
-        return a + b
+    def place_key(self, place):
+        """Sort key: infinity first, then by degree and coefficients."""
+        if isinstance(place, InfinitePlace):
+            return (0,)
+        return (place.degree, place.poly.coeffs)
 
-    def sub(self, a, b):
-        return a - b
+    def points_over(self, big: FiniteField, emb) -> tuple:
+        """The affine points over `big` as code arrays: (xs,)."""
+        return (np.arange(big.q),)
 
-    def neg(self, a):
-        return -a
+    def place_mask(self, place: FinitePlace, points, big: FiniteField, emb):
+        """Which of `points` (from points_over) lie on a finite place."""
+        pol = place.poly.map_field(emb) if emb else place.poly
+        return pol.eval_array(points[0]) == 0
 
-    def mul(self, a, b):
-        return a * b
+    def witness(self, place, s: int):
+        """(g, lam): v_P(g) = -s with leading coefficient lam, at infinity or
+        a rational finite place."""
+        F = self.field
+        if isinstance(place, InfinitePlace):
+            return RationalFunction.x(F) ** s, 1
+        if place.degree != 1:
+            raise ValueError("a witness needs a rational place")
+        return RationalFunction(Poly.one(F), place.poly**s, _normalized=True), 1
 
-    def pow(self, a, n):
-        return a**n
-
-    def __eq__(self, other):
-        return isinstance(other, RationalFunctionField) and self.field == other.field
-
-    def __hash__(self):
-        return hash(("RationalFunctionField", self.field))
+    def rational_above(self, place):
+        """(ring', place', emb): a rational place above `place` over the
+        constant-field extension by its degree, with the embedding of the
+        constants (None and the place itself when it is rational)."""
+        if place.degree == 1:
+            return self, place, None
+        big, emb = extension(self.field, place.degree)
+        root = min(roots_in_field(place.poly.map_field(emb)))
+        return RationalFunctionField(big), FinitePlace(Poly(big, (big.neg(root), 1))), emb

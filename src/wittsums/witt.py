@@ -2,8 +2,10 @@
 
 The ring structure is driven by universal sum/product/negation polynomials,
 computed once per (p, l) by exact big-integer ghost recursion and reduced
-mod p.  Coefficient rings are duck-typed: they expose
-zero/one/from_int/add/sub/mul/neg/pow/eq/is_zero and a `char` attribute.
+mod p.  A coefficient ring exposes zero/one/from_int/add/sub/mul/neg/pow/
+eq/is_zero, a `char` attribute, and equality and hashing: `FiniteField` on
+int codes, and `poly.OperatorRing` (k[T], k(x), elliptic function fields)
+by forwarding to the element operators.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from wittsums import (
     RationalFunction,
     RationalFunctionField,
     artin_reduce_at,
+    candidate_pole_places,
     conductor,
     genus_of_cover,
     is_nondegenerate,
@@ -24,8 +25,8 @@ from wittsums import (
     witt_function,
     wp,
 )
-from wittsums.elliptic import _origin_xy_series
-from wittsums.fields import get_field
+from wittsums.elliptic import AffinePlace, _origin_xy_series
+from wittsums.fields import extension, get_field
 from wittsums.poly import roots_in_field
 from wittsums.series import LaurentSeries
 
@@ -109,6 +110,18 @@ def test_conductor_examples():
     assert len(c.entries) == 1 and isinstance(c.entries[0][0], InfinitePlace)
     assert conductor(witt_function(K, (x**3, zero))).degree == 7
     assert conductor(witt_function(K, (RationalFunction.one(F), zero))).degree == 0
+
+
+def test_candidate_pole_places_order_p1():
+    """Infinity first, then the finite places by degree and coefficients,
+    each once."""
+    K = p1_ring()
+    F = K.field
+    x = RationalFunction.x(F)
+    h = RationalFunction.from_poly(Poly(F, (1, 1, 1))).inverse()
+    f = witt_function(K, (x**3 + h, x.inverse() + (x + RationalFunction.one(F)).inverse() + h))
+    want = [InfinitePlace(F)] + [FinitePlace(Poly(F, c)) for c in ((0, 1), (1, 1), (1, 1, 1))]
+    assert candidate_pole_places(f) == want
 
 
 def test_nondegeneracy_examples():
@@ -232,6 +245,21 @@ def test_elliptic_degree2_place_conductor_and_genus():
     assert c.entries[0][0] == OriginPlace(E) and c.degree == 15
     _check_cover_total(f, 1)
     assert genus_of_cover(f, 1) == 21
+
+
+def test_reduction_at_a_rational_place_recorded_over_an_extension():
+    """The rational point (0, 1) of y^2 + y = x^3, given by its codes in
+    F_4, is reduced at the same place given over F_2."""
+    E = EllipticCurve(get_field(2, 1), 0, 0, 1, 0, 0)
+    ring = EllipticFunctionField(E)
+    big, emb = extension(E.field, 2)
+    up = AffinePlace.from_point(E, big, emb, 0, emb(1))
+    down = AffinePlace.from_point(E, E.field, None, 0, 1)
+    assert up.degree == 1 and up.ext_degree == 2 and up != down
+    g = EllipticFunction.x(E).inverse()
+    f = witt_function(ring, (g**2 + g**3, g))
+    assert artin_reduce_at(f, up).place == down
+    assert reduced_pole_order(f, up) == reduced_pole_order(f, down) > 0
 
 
 # -- reference implementations for the fast paths -----------------------------

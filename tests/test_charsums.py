@@ -229,6 +229,12 @@ def test_sweep_thm31_p1_clean():
     assert all(r.passed for r in reports)
 
 
+def test_sweep_thm31_p1_length_one_names_each_character_once():
+    reports = verify_sweep("thm31-p1", p=2, l=1, m=1, max_a=3, max_b=3, d=1)
+    assert [r.instance for r in reports] == ["(x^1)_d1", "(x^2)_d1", "(x^3)_d1"]
+    assert all(r.passed for r in reports)
+
+
 def test_sweep_empty():
     assert verify_sweep("empty") == []
 

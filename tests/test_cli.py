@@ -260,6 +260,8 @@ def test_singular_curve_exit4(capsys):
         (["genus", "--ring", "2,2,1", "--f-witt", "(1,1+1/x^2)"], 4),
         # universal Witt polynomials too costly to build: refused at once
         (["witt", "add", "--p", "7", "--l", "4", "--over", "f7", "(1,0,0,0)", "(1,0,0,0)"], 3),
+        # only `verify` has CSV rows: --format is refused elsewhere
+        (["sum", "--ring", "2,2,1", "--f", "T", "--format", "csv"], 2),
     ],
 )
 def test_exit_code_table(capsys, argv, expected):

@@ -8,12 +8,14 @@ import pytest
 from wittsums import (
     EllipticCurve,
     EllipticFunction,
+    EllipticFunctionField,
     FinitePlace,
     InfinitePlace,
     LaurentSeries,
     OriginPlace,
     Poly,
     RationalFunction,
+    RationalFunctionField,
     get_field,
     places_up_to_degree,
 )
@@ -239,3 +241,58 @@ def test_singular_model_rejected():
     F2 = get_field(2, 1)
     with pytest.raises(ValueError):
         EllipticCurve(F2, 0, 0, 0, 0, 0)  # y^2 = x^3 is singular
+
+
+# -- the curve adapter of a function-field ring ------------------------------
+
+# P^1 over F_2, F_3, F_4, and the six curves of the benchmark's genus-1
+# workload, as (p, m, Weierstrass coefficients or None)
+ADAPTER_RINGS = [
+    (2, 1, None),
+    (3, 1, None),
+    (2, 2, None),
+    (2, 1, (0, 0, 1, 0, 0)),  # y^2 + y = x^3
+    (2, 1, (0, 0, 1, 1, 0)),  # y^2 + y = x^3 + x
+    (2, 1, (1, 0, 0, 0, 1)),  # y^2 + xy = x^3 + 1
+    (2, 1, (1, 1, 0, 0, 1)),  # y^2 + xy = x^3 + x^2 + 1
+    (3, 1, (0, 1, 0, 0, 1)),  # y^2 = x^3 + x^2 + 1
+    (3, 1, (0, 0, 0, 2, 1)),  # y^2 = x^3 + 2x + 1
+]
+
+
+def _adapter_ring(p, m, coeffs):
+    F = get_field(p, m)
+    if coeffs is None:
+        return RationalFunctionField(F)
+    return EllipticFunctionField(EllipticCurve(F, *coeffs))
+
+
+def _rational_places(ring):
+    """The base place and the rational finite or affine places."""
+    if isinstance(ring, RationalFunctionField):
+        return places_up_to_degree(ring.field, 1)
+    return ring.curve.places_up_to_degree(1)
+
+
+@pytest.mark.parametrize("p, m, coeffs", ADAPTER_RINGS)
+def test_witness_pole_order_and_leading_coefficient(p, m, coeffs):
+    ring = _adapter_ring(p, m, coeffs)
+    places = _rational_places(ring)
+    assert places[0] == ring.base_place and len(places) > 1
+    for place in places:
+        for s in range(1, 9):
+            g, lam = ring.witness(place, s)
+            assert g.valuation_at(place) == -s
+            assert g.laurent_at(place, 1 - s).leading() == lam
+
+
+def test_witness_needs_a_rational_place():
+    F = get_field(2, 1)
+    quadratic = Poly(F, (1, 1, 1))
+    with pytest.raises(ValueError):
+        RationalFunctionField(F).witness(FinitePlace(quadratic), 1)
+    ring = EllipticFunctionField(EllipticCurve(F, 0, 0, 1, 0, 0))
+    (place, *_) = ring.places_above(quadratic)
+    assert place.degree == 2
+    with pytest.raises(ValueError):
+        ring.witness(place, 1)

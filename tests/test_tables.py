@@ -25,7 +25,6 @@ from wittsums.asw import (
 )
 from wittsums.charsums import (
     _digit_trace_tables,
-    _exponent_counts_to_cyclotomic,
     l_function,
     sum_witt,
     sweep_kumar,
@@ -212,7 +211,7 @@ def oracle_sum_p1(fvec, d, exclusions, twist_key=None):
         base = tuple(0 if c.is_zero() else c.laurent_at(inf, 1).coeff(0) for c in coords)
         tally(tuple(emb(a) for a in base) if emb else base)
         term_count += 1
-    return _exponent_counts_to_cyclotomic(p, l, counts), term_count
+    return CyclotomicInteger._reduce(p, l, counts), term_count
 
 
 def oracle_ys_above(E, big, emb, x0):
@@ -304,7 +303,7 @@ def oracle_sum_elliptic(fvec, d, exclusions, twist_key=None):
         base = tuple(0 if c.is_zero() else c.laurent_at(O, 1).coeff(0) for c in coords)
         tally(tuple(emb(a) for a in base) if emb else base)
         term_count += 1
-    return _exponent_counts_to_cyclotomic(p, l, counts), term_count
+    return CyclotomicInteger._reduce(p, l, counts), term_count
 
 
 # -- the orbit helper ----------------------------------------------------------
@@ -420,7 +419,7 @@ def test_kumar_counts_match_ring_table_oracle(p, m, deg0, deg1):
     assert ((result.deg0 > 0) | (result.deg1 > 0)).all()
     # |S|^2 against the oracle's exact sum, and the verdict |S|^2 <= B^2
     for i in range(0, len(result), max(1, len(result) // 40)):
-        S = _exponent_counts_to_cyclotomic(p, 2, want[:, result.index[i]].tolist())
+        S = CyclotomicInteger._reduce(p, 2, want[:, result.index[i]].tolist())
         if p == 2:
             norm = S * S.conjugate_power(3)
             assert norm == CyclotomicInteger.from_int(2, 2, int(result.s2[i]))
