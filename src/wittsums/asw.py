@@ -35,9 +35,14 @@ def wp(f: WittVector) -> WittVector:
 
 @dataclass
 class ReducedForm:
+    """f = reduced + P(witness), reduced at a rational place; `terms` holds,
+    per coordinate of `reduced`, its (valuation, leading coefficient) at
+    the place, or None for a zero coordinate."""
+
     reduced: WittVector
     witness: WittVector
     place: object
+    terms: tuple = ()
 
     def check(self, original: WittVector) -> bool:
         return original == self.reduced + wp(self.witness)
@@ -57,23 +62,27 @@ def artin_reduce_at(f: WittVector, place) -> ReducedForm:
     res_field = ring.field
     r = f
     witness = WittVector.zero(f.params, ring)
+    terms = []
+    # a step at coordinate i leaves the coordinates below i as they are, so
+    # the term on which coordinate i stopped is that of the reduced form
     for i in range(l):
         while True:
             fi = r.coords[i]
             if ring.is_zero(fi):
+                term = None
                 break
-            v = fi.valuation_at(place)
+            v, a = term = fi.leading_term_at(place)
             if v >= 0 or (-v) % p != 0:
                 break
             s = (-v) // p
-            a = fi.laurent_at(place, v + 1).leading()
             base, lam = ring.witness(place, s)
             c = res_field.pth_root(res_field.div(a, res_field.pow(lam, p)))
             g = base.scale(c)
             gv = WittVector.teichmuller(f.params, ring, g).verschiebung(i)
             r = r - wp(gv)
             witness = witness + gv
-    return ReducedForm(reduced=r, witness=witness, place=place)
+        terms.append(term)
+    return ReducedForm(reduced=r, witness=witness, place=place, terms=tuple(terms))
 
 
 def reduced_pole_order(f: WittVector, place) -> int:
@@ -86,22 +95,12 @@ def reduced_pole_order(f: WittVector, place) -> int:
     reported as -1, the remaining pole-free case as 0.
     """
     rf = artin_reduce_at(f, place)
-    ring = rf.reduced.ring
     p, l = f.params.p, f.params.l
-    vals = []
-    for i, fi in enumerate(rf.reduced.coords):
-        if ring.is_zero(fi):
-            continue
-        v = fi.valuation_at(rf.place)
-        if v < 0:
-            vals.append(p ** (l - 1 - i) * (-v))
+    vals = [p ** (l - 1 - i) * -t[0] for i, t in enumerate(rf.terms) if t and t[0] < 0]
     if vals:
         return max(vals)
-    digits = tuple(
-        0 if ring.is_zero(fi) else fi.laurent_at(rf.place, 1).coeff(0)
-        for fi in rf.reduced.coords
-    )
-    R = get_galois_ring(p, l, ring.field.m)
+    digits = tuple(t[1] if t and t[0] == 0 else 0 for t in rf.terms)
+    R = get_galois_ring(p, l, rf.reduced.ring.field.m)
     tr = R.absolute_trace(R.from_digits(digits))
     return -1 if tr % p**l == 0 else 0
 

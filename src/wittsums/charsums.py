@@ -204,12 +204,9 @@ def _digits_at(fvec, place, twist_key):
             f"a removable pole at {place!r} outside the exclusions, with a "
             f"twist off Z/{fvec.params.p ** fvec.params.l}"
         )
-    digits = []
-    for c in rf.reduced.coords:
-        s = None if c.is_zero() else c.laurent_at(rf.place, 1)
-        if s is not None and s.val < 0:
-            raise ZeroDivisionError(f"a pole at {place!r} outside the exclusions")
-        digits.append(0 if s is None else s.coeff(0))
+    if any(t and t[0] < 0 for t in rf.terms):
+        raise ZeroDivisionError(f"a pole at {place!r} outside the exclusions")
+    digits = [t[1] if t and t[0] == 0 else 0 for t in rf.terms]
     return digits, rf.reduced.ring.field.m // fvec.ring.field.m
 
 
@@ -665,8 +662,9 @@ def sweep_kumar(p: int, l: int, m: int, deg0: int, deg1: int) -> SweepResult:
 
 
 def sweep_thm31_p1(p: int, l: int, m: int, max_a: int, max_b: int, d: int = 1) -> SweepResult:
-    """Conductor-bound check for fvec = (x^a, x^b) on P^1, or (x^a) when
-    l = 1."""
+    """Conductor-bound check for fvec = (x^a, x^b, 0, ..., 0) of length l
+    on P^1, or (x^a) when l = 1; an instance is named by its coordinates,
+    as in `(x^2,x^1,0)_d1`."""
     F = get_field(p, m)
     K = RationalFunctionField(F)
     x = RationalFunction.x(F)
@@ -674,7 +672,8 @@ def sweep_thm31_p1(p: int, l: int, m: int, max_a: int, max_b: int, d: int = 1) -
     if l == 1:
         cases = [((x**a,), f"(x^{a})") for a in range(1, max_a + 1)]
     else:
-        cases = [((x**a, x**b if b else zero), f"(x^{a},x^{b})")
+        pad = (zero,) * (l - 2)
+        cases = [((x**a, x**b if b else zero) + pad, f"(x^{a},x^{b}{',0' * (l - 2)})")
                  for a in range(1, max_a + 1) for b in range(max_b + 1)]
     names, measured, bounds = [], [], []
     for coords, name in cases:

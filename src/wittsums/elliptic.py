@@ -21,7 +21,7 @@ from .series import LaurentSeries, PrecisionError, eval_poly_at_series
 MAX_SERIES_PREC = 1 << 16
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _artin_schreier_table(field: FiniteField):
     """t[u] = a solution z of z^2 + z = u over a char-2 field, or -1.
 
@@ -291,7 +291,7 @@ class AffinePlace:
 # -- local expansions ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _origin_xy_series(curve: EllipticCurve, prec: int):
     """Expansions of (x, y) at the origin in the parameter t = x/y.
 
@@ -343,7 +343,7 @@ def _newton_y_series(curve, big, emb, x_s, y0, prec):
     return y
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _affine_xy_series(place: AffinePlace, prec: int):
     """Expansions of (x, y) at an affine place in its standard parameter.
 
@@ -555,13 +555,19 @@ class EllipticFunction:
         return out.truncate(prec) if out.prec >= prec else out
 
     def valuation_at(self, place) -> int:
+        return self.leading_term_at(place)[0]
+
+    def leading_term_at(self, place) -> tuple:
+        """(v, a): the valuation at the place and the leading coefficient of
+        the expansion there, from one expansion whose precision doubles
+        until it is nonzero.  Raises ValueError for the zero function."""
         if self.is_zero():
             raise ValueError("the zero function has no valuation")
         prec = 16
         while prec <= MAX_SERIES_PREC:
             s = self.laurent_at(place, prec)
             if not s.is_zero():
-                return s.valuation()
+                return s.valuation(), s.leading()
             prec *= 2
         raise PrecisionError("valuation did not resolve within the precision cap")
 
@@ -652,10 +658,10 @@ class EllipticFunctionField(OperatorRing):
                 g = x ** (s // 2)
             else:
                 g = x ** ((s - 3) // 2) * y
-            v = g.valuation_at(place)
+            v, lam = g.leading_term_at(place)
             if v != -s:
                 raise ArithmeticError(f"witness has pole order {-v} at the origin, not {s}")
-            return g, g.laurent_at(place, v + 1).leading()
+            return g, lam
         if place.ext_degree != 1:
             raise ValueError("a witness needs a rational place")
         x0, y0 = place.representative

@@ -177,7 +177,7 @@ def _poly_gcd_is_nonconst(a: list[int], f: list[int], p: int) -> bool:
     return len(a) > 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Monic irreducible of degree m over F_p, minimal in the base-p
     integer encoding of its non-leading coefficients."""
@@ -429,12 +429,12 @@ class FieldEmbedding:
         return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def get_field(p: int, m: int) -> FiniteField:
     return FiniteField(p, m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def get_embedding(p: int, m: int, md: int) -> FieldEmbedding:
     return FieldEmbedding(get_field(p, m), get_field(p, md))
 
@@ -447,7 +447,7 @@ def extension(F: FiniteField, d: int):
     return emb.big, emb
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def get_embedding_over(p: int, m: int, mk: int, md: int):
     """An embedding F_{p^mk} -> F_{p^md} over F_{p^m}: on F_{p^m}, taken up
     by get_embedding(p, m, mk) (by nothing when mk = m), it agrees with

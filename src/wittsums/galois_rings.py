@@ -387,11 +387,11 @@ class _LinearSection:
         return sol
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def get_galois_ring(p: int, l: int, m: int) -> GaloisRing:
     return GaloisRing(p, l, m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def get_gr_embedding(p: int, l: int, m: int, md: int) -> GaloisRingEmbedding:
     return GaloisRingEmbedding(get_galois_ring(p, l, m), get_galois_ring(p, l, md))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import EnumerationCapError, FiniteField, extension
-from .poly import OperatorRing, Poly, factor, irreducibles_of_degree, power, roots_in_field
+from .poly import OperatorRing, Poly, factor, irreducibles_of_degree, roots_in_field
 from .series import LaurentSeries, eval_poly_at_series
 
 ENUMERATION_CAP = 10**7
@@ -54,7 +54,22 @@ class InfinitePlace:
 
 
 class RationalFunction:
-    """num/den with den monic and gcd(num, den) = 1."""
+    """num/den with den monic and gcd(num, den) = 1.
+
+    This canonical form is what `==`, `hash` and the caches keyed on
+    functions rely on.  The general constructor pays one gcd to reach it;
+    the operators keep it with the classical fraction shortcuts instead
+    (for a/b and c/d, both canonical):
+
+    - a sum takes no gcd when either denominator is 1, since
+      gcd(a + c b, b) = gcd(a, b) = 1; one gcd(a + c, b) when b = d; and
+      otherwise g = gcd(b, d), with one more gcd(t, g) on the numerator
+      t = a (d/g) + c (b/g) only when g != 1 (Henrici);
+    - a product cross-cancels, gcd(a, d) and gcd(c, b), and a quotient
+      (a d)/(b c) likewise gcd(a, c) and gcd(d, b); a gcd with a constant
+      is skipped;
+    - a power, negation, scaling and inverse take none.
+    """
 
     __slots__ = ("field", "num", "den")
 
@@ -75,6 +90,23 @@ class RationalFunction:
         self.field = field
         self.num = num
         self.den = den
+
+    @classmethod
+    def _coprime(cls, num: Poly, den: Poly):
+        """num/den for coprime num and monic den; the zero function gets
+        the denominator 1."""
+        if num.is_zero():
+            return cls.zero(num.field)
+        return cls(num, den, _normalized=True)
+
+    @classmethod
+    def _monic(cls, num: Poly, den: Poly):
+        """num/den for coprime num and den, made monic in den."""
+        lead = den.leading()
+        if lead != 1:
+            inv = num.field.inv(lead)
+            num, den = num.scale(inv), den.scale(inv)
+        return cls(num, den, _normalized=True)
 
     # -- constructors
 
@@ -125,9 +157,26 @@ class RationalFunction:
     # -- arithmetic
 
     def __add__(self, other):
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero():
+            return other
+        if c.is_zero():
+            return self
+        if d.is_constant():
+            return RationalFunction._coprime(a + c * b, b)
+        if b.is_constant():
+            return RationalFunction._coprime(a * d + c, d)
+        if b == d:
+            return RationalFunction._coprime(*_cancel(a + c, b))
+        g = _gcd(b, d)
+        if g is None:
+            return RationalFunction._coprime(a * d + c * b, b * d)
+        b1 = b // g
+        t = a * (d // g) + c * b1
+        g2 = _gcd(t, g)  # = gcd(t, d)
+        if g2 is not None:
+            t, d = t // g2, d // g2
+        return RationalFunction._coprime(t, b1 * d)
 
     def __neg__(self):
         return RationalFunction(-self.num, self.den, _normalized=True)
@@ -136,23 +185,39 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, other):
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero():
+            return self
+        if c.is_zero():
+            return other
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return RationalFunction(a * c, b * d, _normalized=True)
 
     def __truediv__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero():
+            return self
+        a, c = _cancel(a, c)
+        d, b = _cancel(d, b)
+        return RationalFunction._monic(a * d, b * c)
 
     def inverse(self) -> "RationalFunction":
-        return RationalFunction.one(self.field) / self
+        if self.is_zero():
+            raise ZeroDivisionError("division by the zero function")
+        return RationalFunction._monic(self.den, self.num)
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return power(self, n, RationalFunction.one(self.field))
+        return RationalFunction(self.num**n, self.den**n, _normalized=True)
 
     def scale(self, c: int) -> "RationalFunction":
-        return RationalFunction(self.num.scale(c), self.den, _normalized=c != 0)
+        if c == 0:
+            return RationalFunction.zero(self.field)
+        return RationalFunction(self.num.scale(c), self.den, _normalized=True)
 
     def map_field(self, emb) -> "RationalFunction":
         """Extend constants along a field embedding."""
@@ -187,23 +252,41 @@ class RationalFunction:
             raise ValueError("the zero function has no valuation")
         if isinstance(place, InfinitePlace):
             return self.den.degree - self.num.degree
-        pi = place.poly
-        v = 0
-        f = self.num
+        return self._split_at(place.poly)[0]
+
+    def _split_at(self, pi: Poly):
+        """(v, n, d): f = pi^v n/d with pi dividing neither n nor d."""
+        v, n, d = 0, self.num, self.den
         while True:
-            q, r = f.divmod(pi)
+            q, r = n.divmod(pi)
             if not r.is_zero():
                 break
-            f, v = q, v + 1
+            n, v = q, v + 1
         if v:
-            return v
-        f = self.den
+            return v, n, d
         while True:
-            q, r = f.divmod(pi)
+            q, r = d.divmod(pi)
             if not r.is_zero():
                 break
-            f, v = q, v - 1
-        return v
+            d, v = q, v - 1
+        return v, n, d
+
+    def leading_term_at(self, place) -> tuple:
+        """(v, a): the valuation at the place and the leading coefficient of
+        the expansion `laurent_at` gives, with no series.  At a finite place
+        f = pi^v n/d and pi = (x - root) h with h(root) = pi'(root), so
+        a = (n/d)(root) pi'(root)^v; at infinity a is the leading
+        coefficient of num (den is monic).  Raises ValueError for the zero
+        function."""
+        if self.is_zero():
+            raise ValueError("the zero function has no valuation")
+        if isinstance(place, InfinitePlace):
+            return self.den.degree - self.num.degree, self.num.leading()
+        pi = place.poly
+        v, n, d = self._split_at(pi)
+        big, emb, root = _residue_root(pi)
+        ev = (lambda g: g.eval_in(big, emb, root)) if emb else (lambda g: g.eval(root))
+        return v, big.mul(big.div(ev(n), ev(d)), big.pow(ev(pi.derivative()), v))
 
     def pole_divisor(self) -> list[tuple]:
         """[(place, pole order)] over all poles, deterministic order."""
@@ -234,14 +317,7 @@ class RationalFunction:
             )
             den_s = eval_poly_at_series(rd.coeffs, t)
             return (num_s * den_s.inverse()).truncate(prec)
-        pi = place.poly
-        e = pi.degree
-        if e == 1:
-            alpha = F.neg(pi.coeffs[0])
-            big, emb, root = F, None, alpha
-        else:
-            big, emb = extension(F, e)
-            root = min(roots_in_field(pi.map_field(emb)))
+        big, emb, root = _residue_root(place.poly)
         # substitute x = root + t and divide the two polynomial expansions;
         # the guard terms absorb precision lost inverting a denominator that
         # vanishes at the place
@@ -252,6 +328,38 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction(({self.num})/({self.den}))"
+
+
+def _residue_root(pi: Poly):
+    """(F_{q^e}, the embedding of the constants or None, the least root
+    of pi there) for a monic irreducible pi of degree e."""
+    F = pi.field
+    if pi.degree == 1:
+        return F, None, F.neg(pi.coeffs[0])
+    big, emb = extension(F, pi.degree)
+    return big, emb, min(roots_in_field(pi.map_field(emb)))
+
+
+def _gcd(u: Poly, v: Poly) -> Poly | None:
+    """gcd(u, v) for v nonzero, or None when it is 1 or u is zero (the
+    callers then keep u and v as they are); a constant argument costs no
+    division, and neither does a monomial c x^k, whose gcd with the other
+    argument is x^min(k, its order at 0) (the denominators of Laurent
+    polynomials are such monomials)."""
+    if u.is_constant() or v.is_constant():
+        return None
+    for s, t in ((u, v), (v, u)):
+        if not any(s.coeffs[:-1]):
+            k = min(s.degree, next(i for i, c in enumerate(t.coeffs) if c))
+            return Poly.x(s.field) ** k if k else None
+    g = u.gcd(v)
+    return None if g.is_constant() else g
+
+
+def _cancel(u: Poly, v: Poly):
+    """(u/g, v/g) for g = gcd(u, v), v nonzero."""
+    g = _gcd(u, v)
+    return (u, v) if g is None else (u // g, v // g)
 
 
 def places_up_to_degree(field: FiniteField, dmax: int) -> list:
@@ -326,6 +434,5 @@ class RationalFunctionField(OperatorRing):
         constants (None and the place itself when it is rational)."""
         if place.degree == 1:
             return self, place, None
-        big, emb = extension(self.field, place.degree)
-        root = min(roots_in_field(place.poly.map_field(emb)))
+        big, emb, root = _residue_root(place.poly)
         return RationalFunctionField(big), FinitePlace(Poly(big, (big.neg(root), 1))), emb

@@ -117,7 +117,7 @@ def _universal_monomials(p: int, l: int) -> int:
     return ways[n]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def compute_universal_polys(p: int, l: int) -> "UniversalWittPolys":
     """Sum, product and negation polynomials for W_l, coefficients mod p.
 

@@ -394,7 +394,7 @@ def _origin_xy_series_fixed_point(curve, prec):
 
 
 def _series_key(s):
-    return s.val, s.coeffs, s.prec
+    return s.val, tuple(s.coeffs.tolist()), s.prec
 
 
 # (p, m, (a1, a2, a3, a4, a6)): each coefficient is nonzero on some curve

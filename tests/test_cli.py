@@ -466,3 +466,14 @@ LFUN_GOLDEN = [
 def test_lfun_golden_output(capsys, args, expected):
     code, out = run(capsys, ["lfun"] + args)
     assert code == 0 and out == expected
+
+
+def test_verify_thm31_length_three_pads_the_vectors(capsys):
+    names = {}
+    for l in (2, 3):
+        argv = ["verify", "thm31-p1", "--ring", f"2,{l},1", "--max-a", "2", "--max-b", "1"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        names[l] = [r["instance"] for r in json.loads(out)["reports"]]
+    assert names[2] == ["(x^1,x^0)_d1", "(x^1,x^1)_d1", "(x^2,x^0)_d1", "(x^2,x^1)_d1"]
+    assert names[3] == [n.replace(")_", ",0)_") for n in names[2]]
