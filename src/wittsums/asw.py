@@ -42,7 +42,7 @@ class ReducedForm:
     reduced: WittVector
     witness: WittVector
     place: object
-    terms: tuple = ()
+    terms: tuple
 
     def check(self, original: WittVector) -> bool:
         return original == self.reduced + wp(self.witness)

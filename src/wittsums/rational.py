@@ -66,9 +66,11 @@ class RationalFunction:
       otherwise g = gcd(b, d), with one more gcd(t, g) on the numerator
       t = a (d/g) + c (b/g) only when g != 1 (Henrici);
     - a product cross-cancels, gcd(a, d) and gcd(c, b), and a quotient
-      (a d)/(b c) likewise gcd(a, c) and gcd(d, b); a gcd with a constant
-      is skipped;
+      (a d)/(b c) likewise gcd(a, c) and gcd(d, b);
     - a power, negation, scaling and inverse take none.
+
+    A gcd with a constant is skipped, and one with a monomial c x^k is read
+    off the other argument's order at 0, with no polynomial division.
     """
 
     __slots__ = ("field", "num", "den")

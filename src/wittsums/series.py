@@ -143,7 +143,7 @@ class LaurentSeries:
     __slots__ = ("field", "val", "coeffs", "prec")
 
     def __init__(self, field: FiniteField, val: int, coeffs, prec: int):
-        c = np.array(coeffs, dtype=np.int64).reshape(-1)[: max(0, prec - val)]
+        c = np.array(coeffs, dtype=np.int64)[: max(0, prec - val)]
         nz = np.flatnonzero(c)
         if len(nz):
             start = int(nz[0])
