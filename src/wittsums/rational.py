@@ -61,16 +61,16 @@ class RationalFunction:
     the operators keep it with the classical fraction shortcuts instead
     (for a/b and c/d, both canonical):
 
-    - a sum takes no gcd when either denominator is 1, since
-      gcd(a + c b, b) = gcd(a, b) = 1; one gcd(a + c, b) when b = d; and
-      otherwise g = gcd(b, d), with one more gcd(t, g) on the numerator
+    - a sum takes one gcd(a + c, b) when b = d, and otherwise
+      g = gcd(b, d), with one more gcd(t, g) on the numerator
       t = a (d/g) + c (b/g) only when g != 1 (Henrici);
     - a product cross-cancels, gcd(a, d) and gcd(c, b), and a quotient
       (a d)/(b c) likewise gcd(a, c) and gcd(d, b);
     - a power, negation, scaling and inverse take none.
 
-    A gcd with a constant is skipped, and one with a monomial c x^k is read
-    off the other argument's order at 0, with no polynomial division.
+    A gcd with a constant argument is skipped, so a sum or product whose
+    denominators are 1 takes none; one with a monomial c x^k is read off
+    the other argument's order at 0, with no polynomial division.
     """
 
     __slots__ = ("field", "num", "den")
@@ -164,10 +164,6 @@ class RationalFunction:
             return other
         if c.is_zero():
             return self
-        if d.is_constant():
-            return RationalFunction._coprime(a + c * b, b)
-        if b.is_constant():
-            return RationalFunction._coprime(a * d + c, d)
         if b == d:
             return RationalFunction._coprime(*_cancel(a + c, b))
         g = _gcd(b, d)
@@ -346,8 +342,8 @@ def _gcd(u: Poly, v: Poly) -> Poly | None:
     """gcd(u, v) for v nonzero, or None when it is 1 or u is zero (the
     callers then keep u and v as they are); a constant argument costs no
     division, and neither does a monomial c x^k, whose gcd with the other
-    argument is x^min(k, its order at 0) (the denominators of Laurent
-    polynomials are such monomials)."""
+    argument is x^min(k, its order at 0).  Powers of x are the denominators
+    of Laurent polynomials in x and of their Witt sums and products."""
     if u.is_constant() or v.is_constant():
         return None
     for s, t in ((u, v), (v, u)):

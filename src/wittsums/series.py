@@ -29,7 +29,8 @@ coefficient i of the product, with no block spilling into the next.  Each
 block is reduced mod p and then by the modulus, through the (2m - 1) x m
 matrix of the coordinates of x^j mod the modulus.  An inverse is the
 Newton iteration b <- b (2 - a b), which doubles the known terms at each
-step.
+step.  Sums, negation and scaling go through the field's table operations
+`add_array` and `mul_array`, for every p and m.
 """
 
 from __future__ import annotations
@@ -60,11 +61,6 @@ def _kronecker(field: FiniteField):
     return weights, red
 
 
-def _digits(field: FiniteField, a):
-    weights = _kronecker(field)[0]
-    return a[:, None] // weights % field.p
-
-
 def _convolve(a, b, bound: int):
     """np.convolve, on Python integers when a sum of products could pass
     int64 (`bound` is an upper bound on one product)."""
@@ -84,37 +80,12 @@ def _mul(field: FiniteField, a, b, n: int):
     flat = []
     for x in (a, b):
         blocks = np.zeros((len(x), w), dtype=np.int64)
-        blocks[:, :m] = _digits(field, x)
+        blocks[:, :m] = x[:, None] // weights % p
         flat.append(blocks.ravel())
     k = min(n, len(a) + len(b) - 1)
     prod = _convolve(flat[0], flat[1], m * (p - 1) ** 2)[: k * w] % p
     prod = np.asarray(prod, dtype=np.int64).reshape(k, w)
     return prod @ red % p @ weights
-
-
-def _add(field: FiniteField, a, b):
-    """Sum of two coefficient arrays of one length."""
-    p = field.p
-    if field.m == 1:
-        return (a + b) % p
-    if p == 2:
-        return a ^ b
-    return (_digits(field, a) + _digits(field, b)) % p @ _kronecker(field)[0]
-
-
-def _neg(field: FiniteField, a):
-    p = field.p
-    if p == 2:
-        return a
-    if field.m == 1:
-        return -a % p
-    return -_digits(field, a) % p @ _kronecker(field)[0]
-
-
-def _scale(field: FiniteField, a, c: int):
-    if field.m == 1:
-        return a * c % field.p
-    return field.mul_array(a, c)
 
 
 def _inverse(field: FiniteField, a, n: int):
@@ -123,15 +94,16 @@ def _inverse(field: FiniteField, a, n: int):
     b = np.array([field.inv(int(a[0]))], dtype=np.int64)
     if len(a) == 1:
         return b
+    neg_a = field.mul_array(a[:n], field.neg(1))
     k = 1
     while k < n:
         k = min(2 * k, n)
-        e = _mul(field, a, b, k)  # 1 + O(t^(old k))
+        e = _mul(field, neg_a, b, k)  # -1 + O(t^(old k))
         e[0] = 0
-        d = _neg(field, _mul(field, b, e, k))
+        d = _mul(field, b, e, k)
         nb = np.zeros(k, dtype=np.int64)
         nb[: len(b)] = b
-        nb[: len(d)] = _add(field, nb[: len(d)], d)
+        nb[: len(d)] = field.add_array(nb[: len(d)], d)
         b = nb
     return b
 
@@ -208,11 +180,12 @@ class LaurentSeries:
         b = other.coeffs[: max(0, prec - other.val)]
         if len(b):
             i = other.val - lo
-            out[i : i + len(b)] = _add(F, out[i : i + len(b)], b)
+            out[i : i + len(b)] = F.add_array(out[i : i + len(b)], b)
         return LaurentSeries(F, lo, out, prec)
 
     def __neg__(self):
-        return LaurentSeries(self.field, self.val, _neg(self.field, self.coeffs), self.prec)
+        F = self.field
+        return LaurentSeries(F, self.val, F.mul_array(self.coeffs, F.neg(1)), self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -229,7 +202,7 @@ class LaurentSeries:
         F = self.field
         if c == 0:
             return LaurentSeries.zero(F, self.prec)
-        return LaurentSeries(F, self.val, _scale(F, self.coeffs, c), self.prec)
+        return LaurentSeries(F, self.val, F.mul_array(self.coeffs, c), self.prec)
 
     def inverse(self) -> "LaurentSeries":
         F = self.field
