@@ -17,7 +17,6 @@ from .asw import (
     conductor,
     genus_of_cover,
     is_nondegenerate,
-    pole_support,
     reduced_pole_order,
     witt_function,
     wp,
@@ -119,7 +118,6 @@ __all__ = [
     "is_nondegenerate",
     "l_function",
     "places_up_to_degree",
-    "pole_support",
     "power_sums_from_l",
     "reduced_pole_order",
     "sum_teichmuller",

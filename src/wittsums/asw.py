@@ -129,11 +129,6 @@ class Conductor:
         return tuple(pl for pl, _ in self.entries)
 
 
-def pole_support(f: WittVector) -> list:
-    """Places with strictly positive reduced pole order."""
-    return [pl for pl, _ in conductor(f).entries]
-
-
 def conductor(f: WittVector) -> Conductor:
     entries = []
     total = 0

@@ -232,9 +232,7 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None) -> CharS
         raise EnumerationCapError(
             f"point enumeration size {F.q}^{d} exceeds cap {ENUMERATION_CAP}"
         )
-    if exclusions is None:
-        exclusions = [pl_ for pl_, _ in conductor(fvec).entries]
-    exclusions = list(exclusions)
+    exclusions = list(conductor(fvec).support if exclusions is None else exclusions)
     big, emb = extension(F, d)
     twist_key = tuple(twist) if twist is not None else None
     pl_mod = p**l
@@ -293,9 +291,6 @@ class LFunctionResult:
     inverse_root_moduli: tuple
     power_sums: tuple
 
-    def complex_coefficients(self):
-        return [c.complex_value() for c in self.coefficients]
-
 
 def l_function(fvec: WittVector, terms: int | None = None, twist=None) -> LFunctionResult:
     """The L-polynomial of the character attached to fvec, from exact power
@@ -314,8 +309,9 @@ def l_function(fvec: WittVector, terms: int | None = None, twist=None) -> LFunct
     n_terms = terms if terms is not None else degree + 2
     if n_terms < degree:
         raise ValueError(f"need at least {degree} terms to determine the polynomial")
-    excl = [pl_ for pl_, _ in cond.entries]
-    power_sums = [sum_witt(fvec, d, exclusions=excl, twist=twist).value for d in range(1, n_terms + 1)]
+    power_sums = [
+        sum_witt(fvec, d, exclusions=cond.support, twist=twist).value for d in range(1, n_terms + 1)
+    ]
     coeffs = [CyclotomicInteger.one(p, l)]
     for n in range(1, n_terms + 1):
         acc = CyclotomicInteger.zero(p, l)
@@ -372,14 +368,14 @@ def bound_kumar(p: int, l: int, m: int, degrees) -> float:
     return (max(weighted) - 1) * p ** (m / 2)
 
 
-def bound_thm31(fvec: WittVector, d: int = 1, base_genus: int | None = None) -> float:
-    """(2(g-1) + conductor degree) * p^(m d / 2)."""
+def bound_thm31(fvec: WittVector, d: int = 1) -> float:
+    """(2(g-1) + conductor degree) * p^(m d / 2), g the genus of the base
+    curve."""
     if not is_nondegenerate(fvec):
         raise DegenerateInputError("the first coordinate lies in k + P(K)")
-    g = base_genus if base_genus is not None else fvec.ring.genus
     F = fvec.ring.field
     cond = conductor(fvec)
-    return (2 * (g - 1) + cond.degree) * fvec.params.p ** (F.m * d / 2)
+    return (2 * (fvec.ring.genus - 1) + cond.degree) * fvec.params.p ** (F.m * d / 2)
 
 
 @dataclass

@@ -134,8 +134,7 @@ def _sweep_csv(result) -> str:
 
 
 def _build_witt_function(args, p, l, m):
-    """Parse --f-witt (and optional --curve) into a Witt vector of functions;
-    returns (fvec, base_genus)."""
+    """Parse --f-witt (and optional --curve) into a Witt vector of functions."""
     F = get_field(p, m)
     if getattr(args, "curve", None):
         curve = parse_curve(args.curve, F)
@@ -146,7 +145,7 @@ def _build_witt_function(args, p, l, m):
         ring = RationalFunctionField(F)
     if len(coords) != l:
         raise ParseError(f"--f-witt has {len(coords)} components, but l = {l}")
-    return witt_function(ring, coords), ring.genus
+    return witt_function(ring, coords)
 
 
 def _parse_poles(text: str, l: int):
@@ -191,7 +190,7 @@ def cmd_sum(args) -> int:
 
 def cmd_lfun(args) -> int:
     p, l, m = parse_ring_triple(args.ring)
-    fvec, _ = _build_witt_function(args, p, l, m)
+    fvec = _build_witt_function(args, p, l, m)
     R = get_galois_ring(p, l, m)
     twist = R.from_int(args.twist) if args.twist is not None else None
     try:
@@ -236,8 +235,8 @@ def cmd_bound(args) -> int:
         if not args.ring or not args.f_witt:
             raise ParseError("bound thm31 needs --ring and --f-witt")
         p, l, m = parse_ring_triple(args.ring)
-        fvec, genus = _build_witt_function(args, p, l, m)
-        value = bound_thm31(fvec, args.d, base_genus=genus)
+        fvec = _build_witt_function(args, p, l, m)
+        value = bound_thm31(fvec, args.d)
         payload = {"family": "thm31", "ring": {"p": p, "l": l, "m": m},
                    "f": args.f_witt, "curve": args.curve, "d": args.d,
                    "bound": value}
@@ -342,14 +341,14 @@ def cmd_witt(args) -> int:
 
 def cmd_genus(args) -> int:
     p, l, m = parse_ring_triple(args.ring)
-    fvec, base_genus = _build_witt_function(args, p, l, m)
-    g = genus_of_cover(fvec, base_genus)
+    fvec = _build_witt_function(args, p, l, m)
+    base_genus = fvec.ring.genus
     payload = {
         "ring": {"p": p, "l": l, "m": m},
         "f": args.f_witt,
         "curve": args.curve,
         "base_genus": base_genus,
-        "genus": g,
+        "genus": genus_of_cover(fvec, base_genus),
     }
     _emit(args, payload)
     return EXIT_OK
@@ -443,16 +442,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EnumerationCapError, FieldCapError) as exc:
+    except (EnumerationCapError, FieldCapError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (DegenerateInputError, ZeroDivisionError, ArithmeticError) as exc:
-        if isinstance(exc, PrecisionError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAP
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # DegenerateInputError is a ValueError, ZeroDivisionError an ArithmeticError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except MemoryError:

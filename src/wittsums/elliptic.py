@@ -43,31 +43,23 @@ class EllipticCurve:
         if self.discriminant() == 0:
             raise ValueError("singular Weierstrass model (discriminant = 0)")
 
-    def _n(self, n: int, a: int) -> int:
-        """n*a for a small integer n."""
-        F = self.field
-        acc = 0
-        for _ in range(n % F.p):
-            acc = F.add(acc, a)
-        return acc
-
     def discriminant(self) -> int:
         F = self.field
         a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = F.add(F.mul(a1, a1), self._n(4, a2))
-        b4 = F.add(self._n(2, a4), F.mul(a1, a3))
-        b6 = F.add(F.mul(a3, a3), self._n(4, a6))
+        b2 = F.add(F.mul(a1, a1), F.mul(F.from_int(4), a2))
+        b4 = F.add(F.mul(F.from_int(2), a4), F.mul(a1, a3))
+        b6 = F.add(F.mul(a3, a3), F.mul(F.from_int(4), a6))
         b8 = F.add(
-            F.add(F.mul(F.mul(a1, a1), a6), self._n(4, F.mul(a2, a6))),
+            F.add(F.mul(F.mul(a1, a1), a6), F.mul(F.from_int(4), F.mul(a2, a6))),
             F.add(
                 F.sub(F.mul(a2, F.mul(a3, a3)), F.mul(a1, F.mul(a3, a4))),
                 F.neg(F.mul(a4, a4)),
             ),
         )
         t1 = F.neg(F.mul(F.mul(b2, b2), b8))
-        t2 = F.neg(self._n(8, F.pow(b4, 3)))
-        t3 = F.neg(self._n(27, F.mul(b6, b6)))
-        t4 = self._n(9, F.mul(b2, F.mul(b4, b6)))
+        t2 = F.neg(F.mul(F.from_int(8), F.pow(b4, 3)))
+        t3 = F.neg(F.mul(F.from_int(27), F.mul(b6, b6)))
+        t4 = F.mul(F.from_int(9), F.mul(b2, F.mul(b4, b6)))
         return F.add(F.add(t1, t2), F.add(t3, t4))
 
     def map_field(self, emb) -> "EllipticCurve":
@@ -134,13 +126,6 @@ class EllipticCurve:
         lo, hi = np.minimum(y1, y2), np.maximum(y1, y2)
         count = np.where(ok, np.where(lo == hi, 1, 2), 0)
         return np.repeat(xs, count), np.stack([lo, hi], axis=1)[np.arange(2) < count[:, None]]
-
-    @staticmethod
-    def _n_in(big: FiniteField, n: int, a: int) -> int:
-        acc = 0
-        for _ in range(n % big.p):
-            acc = big.add(acc, a)
-        return acc
 
     def affine_points(self, d: int = 1):
         """(big field, embedding, xs, ys): the affine points over F_{q^d}
@@ -365,8 +350,8 @@ def _affine_xy_series(place: AffinePlace, prec: int):
     dgx0 = big.sub(
         big.mul(a1, y0),
         big.add(
-            EllipticCurve._n_in(big, 3, big.mul(x0, x0)),
-            big.add(EllipticCurve._n_in(big, 2, big.mul(a2, x0)), a4),
+            big.mul(big.from_int(3), big.mul(x0, x0)),
+            big.add(big.mul(big.from_int(2), big.mul(a2, x0)), a4),
         ),
     )
     if dgx0 == 0:

@@ -96,7 +96,8 @@ def _linear_orbit(M, v, n: int, mod: int):
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    # mod is monic of degree m; a, b of degree < m
+    # mod is monic of degree m; a, b of degree < m; coefficients are taken
+    # mod p, which Galois rings pass as p^l
     m = len(mod) - 1
     res = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):

@@ -1,9 +1,12 @@
 """Input grammars for the command line: arithmetic expressions over named
-variables, Witt-vector component lists, Galois-ring polynomials, and
-Weierstrass curve specifications.
+variables, Witt-vector component lists, polynomials in T over a Galois
+ring, and Weierstrass curve specifications.
 
 Expressions use `^` or `**` for powers and the usual +, -, *, / and
-parentheses; integer literals are mapped into the target ring.
+parentheses; integer literals are mapped into the target ring.  Polynomials
+in T and curve equations have integer coefficients, so both are read as
+integer polynomials (`_IntPoly`), which refuse division, and then mapped
+into their ring or field.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import ast
 from .elliptic import EllipticCurve, EllipticFunction
 from .fields import FiniteField
 from .galois_rings import GaloisRing
-from .rational import RationalFunction
+from .rational import ENUMERATION_CAP, EnumerationCapError, RationalFunction
 from .witt import _padd, _pmul, _ppow
 
 
@@ -138,70 +141,10 @@ def parse_field_vector(text: str, field: FiniteField) -> list[int]:
     return out
 
 
-class _GRPoly:
-    """Thin polynomial-over-GaloisRing wrapper for expression evaluation."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: GaloisRing, coeffs):
-        c = list(coeffs)
-        while c and ring.is_zero(c[-1]):
-            c.pop()
-        self.ring = ring
-        self.coeffs = c
-
-    def __add__(self, other):
-        R = self.ring
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = R.add(out[i], c)
-        return _GRPoly(R, out)
-
-    def __neg__(self):
-        R = self.ring
-        return _GRPoly(R, [R.neg(c) for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        R = self.ring
-        if not self.coeffs or not other.coeffs:
-            return _GRPoly(R, [])
-        out = [R.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = R.add(out[i + j], R.mul(a, b))
-        return _GRPoly(R, out)
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ParseError("negative powers are not polynomials")
-        res = _GRPoly(self.ring, [self.ring.one()])
-        for _ in range(n):
-            res = res * self
-        return res
-
-
-def parse_gr_polynomial(text: str, ring: GaloisRing) -> list:
-    """Coefficient list (constant first) of a polynomial in T over GR."""
-    env = {"T": _GRPoly(ring, [ring.zero(), ring.one()])}
-
-    def from_int(n):
-        return _GRPoly(ring, [ring.from_int(n)])
-
-    result = parse_expression(text, env, from_int)
-    if not isinstance(result, _GRPoly):
-        raise ParseError("expression did not evaluate to a polynomial")
-    return result.coeffs if result.coeffs else [ring.zero()]
-
-
 class _IntPoly:
     """Integer polynomial in x, y (a dict from (deg_x, deg_y) to a nonzero
-    int) for reading curve equations."""
+    int) for reading curve equations and, with T in place of x,
+    polynomials over a Galois ring."""
 
     __slots__ = ("terms",)
 
@@ -226,7 +169,27 @@ class _IntPoly:
         return _IntPoly(_ppow(self.terms, n, {(0, 0): 1}))
 
     def __truediv__(self, other):
-        raise ParseError("division is not allowed in a curve equation")
+        raise ParseError("division is not allowed in a polynomial")
+
+
+def _int_const(n: int) -> _IntPoly:
+    return _IntPoly({(0, 0): n} if n else {})
+
+
+def parse_gr_polynomial(text: str, ring: GaloisRing) -> list:
+    """Coefficient list (constant first) of a polynomial in T over GR, with
+    its integer coefficients mapped into the prime subring Z/p^l.
+
+    Its Teichmuller sum takes q * (degree + 1) steps; past ENUMERATION_CAP
+    the polynomial is refused before its coefficient list is built."""
+    terms = parse_expression(text, {"T": _IntPoly({(1, 0): 1})}, _int_const).terms
+    deg = max((k for (k, _), c in terms.items() if c % ring.pl), default=0)
+    if ring.residue_field.q * (deg + 1) > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"Teichmuller sum of degree {deg} over F_{ring.residue_field.q} "
+            f"exceeds the enumeration cap {ENUMERATION_CAP}"
+        )
+    return [ring.from_int(terms.get((k, 0), 0)) for k in range(deg + 1)]
 
 
 def parse_curve(text: str, field: FiniteField) -> EllipticCurve:
@@ -235,11 +198,7 @@ def parse_curve(text: str, field: FiniteField) -> EllipticCurve:
         raise ParseError("curve specification needs '='")
     lhs, rhs = text.split("=", 1)
     env = {"x": _IntPoly({(1, 0): 1}), "y": _IntPoly({(0, 1): 1})}
-
-    def from_int(n):
-        return _IntPoly({(0, 0): n} if n else {})
-
-    coeff = (parse_expression(lhs, env, from_int) - parse_expression(rhs, env, from_int)).terms
+    coeff = (parse_expression(lhs, env, _int_const) - parse_expression(rhs, env, _int_const)).terms
     p = field.p
     allowed = {(0, 2), (1, 1), (0, 1), (3, 0), (2, 0), (1, 0), (0, 0)}
     if set(coeff) - allowed:

@@ -68,9 +68,6 @@ class Poly:
     def leading(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -117,12 +114,6 @@ class Poly:
             return Poly.zero(F)
         return Poly(F, [F.mul(c, a) for a in self.coeffs])
 
-    def shift(self, n: int) -> "Poly":
-        """Multiply by x^n."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (0,) * n + self.coeffs)
-
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
@@ -165,13 +156,7 @@ class Poly:
 
     def derivative(self) -> "Poly":
         F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            c = 0
-            for _ in range(i % F.p):
-                c = F.add(c, self.coeffs[i])
-            out.append(c)
-        return Poly(F, out)
+        return Poly(F, [F.mul(F.from_int(i), c) for i, c in enumerate(self.coeffs) if i])
 
     def eval(self, x: int) -> int:
         F = self.field
@@ -200,12 +185,6 @@ class Poly:
 
     def map_field(self, emb) -> "Poly":
         return Poly(emb.big, [emb(c) for c in self.coeffs])
-
-    def compose(self, other: "Poly") -> "Poly":
-        acc = Poly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly.const(self.field, c)
-        return acc
 
     def reverse(self) -> "Poly":
         """x^deg * f(1/x)."""

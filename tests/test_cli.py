@@ -262,6 +262,10 @@ def test_singular_curve_exit4(capsys):
         (["witt", "add", "--p", "7", "--l", "4", "--over", "f7", "(1,0,0,0)", "(1,0,0,0)"], 3),
         # only `verify` has CSV rows: --format is refused elsewhere
         (["sum", "--ring", "2,2,1", "--f", "T", "--format", "csv"], 2),
+        # a polynomial in T has no division
+        (["sum", "--ring", "2,2,1", "--f", "T/2"], 2),
+        # a sum of 2 * (10^8 + 1) Horner steps: refused before any coefficient is built
+        (["sum", "--ring", "2,2,1", "--f", "T^100000000"], 3),
     ],
 )
 def test_exit_code_table(capsys, argv, expected):

@@ -16,6 +16,7 @@ from wittsums import (
     get_gr_embedding,
 )
 from wittsums.fields import FIELD_SIZE_CAP, FieldCapError, isprime, primefactors
+from wittsums.parsing import parse_gr_polynomial
 
 
 # -- finite fields ---------------------------------------------------------
@@ -189,6 +190,31 @@ def test_character_homomorphism_and_full_sum():
     for x in R.elements():
         total = total + psi(x)
     assert total.is_zero()
+
+
+@pytest.mark.parametrize("p, l, m, md", [(2, 2, 1, 3), (2, 3, 2, 4), (3, 2, 2, 4), (5, 2, 1, 2)])
+def test_gr_embedding_is_the_ring_map_lifting_the_field_embedding(p, l, m, md):
+    """A ring map between Galois rings is determined by its residue-field
+    map, so these properties pin the embedding down."""
+    small, big = get_galois_ring(p, l, m), get_galois_ring(p, l, md)
+    emb, field_emb = get_gr_embedding(p, l, m, md), get_embedding(p, m, md)
+    xs = list(small.elements())
+    rng = random.Random(p * 1000 + l * 100 + m * 10 + md)
+    assert emb(small.one()) == big.one()
+    for x in xs:
+        assert big.witt_digits(emb(x))[0] == field_emb(small.witt_digits(x)[0])
+    for _ in range(200):
+        x, y = rng.choice(xs), rng.choice(xs)
+        assert emb(small.add(x, y)) == big.add(emb(x), emb(y))
+        assert emb(small.mul(x, y)) == big.mul(emb(x), emb(y))
+
+
+def test_parse_gr_polynomial_reduces_integer_coefficients():
+    Z4 = get_galois_ring(2, 2, 1)
+    coeffs = [Z4.from_int(c) for c in (1, 0, 2, 0, 1)]
+    assert parse_gr_polynomial("(T+1)^4-4*T", Z4) == coeffs
+    # 4*T^5 vanishes in Z/4: no trailing zero coefficient is kept
+    assert parse_gr_polynomial("4*T^5+T", Z4) == [Z4.zero(), Z4.one()]
 
 
 def test_gr_embedding_examples():
