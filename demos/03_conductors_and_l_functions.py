@@ -25,12 +25,12 @@ x = RationalFunction.x(F2)
 zero = RationalFunction.zero(F2)
 px = FinitePlace(Poly(F2, (0, 1)))
 
-print("Artin reduction at the place (x) over F_2(x), length 2:")
+print("Artin reduction at the place (x) over F_2(x), length 2, in t = x:")
 f = witt_function(K, (x ** (-2), zero))
 rf = artin_reduce_at(f, px)
-r0 = rf.reduced.coords[0]
-print(f"  (x^-2, 0)  reduces to  (({r0.num})/({r0.den}), {rf.reduced.coords[1].num})")
-print(f"  witness consistency: {rf.check(f)}")
+lead = ["O(t)" if t is None or t[0] > 0 else f"{t[1]}*t^{t[0]} + ..." for t in rf.terms]
+print(f"  (x^-2, 0)  reduces to  ({', '.join(lead)})")
+print(f"  a pole was removed: {rf.stepped}")
 print(f"  reduced pole order rp = {reduced_pole_order(f, px)}")
 print()
 

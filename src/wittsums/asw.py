@@ -3,11 +3,10 @@ functions, local Artin reduction at a place, reduced pole orders, conductors,
 nondegeneracy, and the genus of the induced cyclic cover.
 
 A "Witt function" is a WittVector whose coefficient ring is a function field
-(k(x) or an elliptic function field).  Reduction at a place P repeatedly
-subtracts P(V^i(g, 0, ...)) for witnesses g chosen to cancel p-divisible
-pole orders; since Verschiebung-supported subtrahends change coordinate i by
-exactly g^p - g and leave lower coordinates alone, the pair (coordinate
-index, pole order) decreases lexicographically and the loop terminates.
+(k(x) or an elliptic function field).  Its reduced pole order at P depends
+only on its image in W_l(k_P((t))), the local Witt-vector conductor
+(Brylinski, Ann. Inst. Fourier 33, 1983), so Artin reduction works on the
+expansions at a rational place above P, with monomial witnesses.
 """
 
 from __future__ import annotations
@@ -15,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .galois_rings import get_galois_ring
+from .poly import OperatorRing
+from .series import MAX_SERIES_PREC, LaurentSeries, PrecisionError
 from .witt import WittParams, WittVector
 
 
@@ -33,56 +34,81 @@ def wp(f: WittVector) -> WittVector:
     return f.frobenius() - f
 
 
+class _LocalRing(OperatorRing):
+    """k((t)) to `prec` terms, as a Witt coefficient ring."""
+
+    key = property(lambda self: (self.field, self.prec))
+
+    def __init__(self, field, prec: int):
+        self.field, self.prec = field, prec
+
+    def const(self, c: int):
+        return LaurentSeries.const(self.field, c, self.prec)
+
+
 @dataclass
 class ReducedForm:
-    """f = reduced + P(witness), reduced at a rational place; `terms` holds,
-    per coordinate of `reduced`, its (valuation, leading coefficient) at
-    the place, or None for a zero coordinate."""
+    """f reduced at a rational place above the given one, with residue field
+    of degree k over the base field: per coordinate, the (valuation, leading
+    coefficient) there, or None where no term of order <= 0 is left; and
+    whether a pole was removed (`stepped`)."""
 
-    reduced: WittVector
-    witness: WittVector
     place: object
+    k: int
     terms: tuple
+    stepped: bool
 
-    def check(self, original: WittVector) -> bool:
-        return original == self.reduced + wp(self.witness)
+
+def _reduce_locally(ring, place, coords, prec: int) -> tuple:
+    """The terms of a reduced form from expansions to `prec` terms; raises
+    PrecisionError where they do not decide one.
+
+    While coordinate i leads with a t^(-ps), subtract P(V^i [c t^-s]) for
+    c^p = a: coordinate i changes by (c t^-s)^p - c t^-s and the lower ones
+    not at all, so (i, pole order) falls lexicographically."""
+    F = ring.field
+    local = _LocalRing(F, prec)
+    r = witt_function(local, [local.zero() if c.is_zero() else c.laurent_at(place, prec) for c in coords])
+    terms = []  # coordinate i ends as the reduced form's: later steps leave it
+    for i in range(len(coords)):
+        while True:
+            s = r.coords[i]
+            if s.is_zero() and s.prec > 0:
+                term = None
+                break
+            v, a = term = s.val, s.leading()  # PrecisionError if t^0 is not reached
+            if v >= 0 or v % F.p:
+                break
+            g = LaurentSeries.t_power(F, v // F.p, prec, F.pth_root(a))
+            r = r - wp(WittVector.teichmuller(r.params, local, g).verschiebung(i))
+        terms.append(term)
+    return tuple(terms)
 
 
 def artin_reduce_at(f: WittVector, place) -> ReducedForm:
-    """A representative of f mod P(W_l) whose coordinate valuations at the
-    place are each >= 0 or prime to p.
+    """The leading terms of a representative of f mod P(W_l(k_P((t)))) whose
+    coordinate valuations are each >= 0 or prime to p, at a rational place
+    above `place` (reduced pole orders are stable under constant-field
+    extension).  With no pole order divisible by p, f is already reduced.
 
-    A place of degree > 1 is first replaced by a rational place above it,
-    over the constant-field extension that holds its points; reduced pole
-    orders are stable under constant-field extension."""
+    Coordinate j of a Witt sum is weighted-homogeneous of degree p^j (f_k of
+    weight p^k), so expansions to R + 2 terms, R = max p^(l-1-k) * (pole
+    order of f_k), mostly fix every term of order <= 0, the only ones read;
+    where the series' precision rules say they do not, the precision doubles."""
     ring, place, emb = f.ring.rational_above(place)
-    if emb is not None:
-        f = witt_function(ring, [c.map_field(emb) for c in f.coords])
+    coords = [c.map_field(emb) for c in f.coords] if emb is not None else f.coords
+    k = ring.field.m // f.ring.field.m
     p, l = f.params.p, f.params.l
-    res_field = ring.field
-    r = f
-    witness = WittVector.zero(f.params, ring)
-    terms = []
-    # a step at coordinate i leaves the coordinates below i as they are, so
-    # the term on which coordinate i stopped is that of the reduced form
-    for i in range(l):
-        while True:
-            fi = r.coords[i]
-            if ring.is_zero(fi):
-                term = None
-                break
-            v, a = term = fi.leading_term_at(place)
-            if v >= 0 or (-v) % p != 0:
-                break
-            s = (-v) // p
-            base, lam = ring.witness(place, s)
-            c = res_field.pth_root(res_field.div(a, res_field.pow(lam, p)))
-            g = base.scale(c)
-            gv = WittVector.teichmuller(f.params, ring, g).verschiebung(i)
-            r = r - wp(gv)
-            witness = witness + gv
-        terms.append(term)
-    return ReducedForm(reduced=r, witness=witness, place=place, terms=tuple(terms))
+    terms = tuple(None if c.is_zero() else c.leading_term_at(place) for c in coords)
+    if not any(t and t[0] < 0 and t[0] % p == 0 for t in terms):
+        return ReducedForm(place, k, terms, stepped=False)
+    prec = max(p ** (l - 1 - i) * -t[0] for i, t in enumerate(terms) if t and t[0] < 0) + 2
+    while prec <= MAX_SERIES_PREC:
+        try:
+            return ReducedForm(place, k, _reduce_locally(ring, place, coords, prec), True)
+        except PrecisionError:
+            prec *= 2
+    raise PrecisionError("Artin reduction did not resolve within the precision cap")
 
 
 def reduced_pole_order(f: WittVector, place) -> int:
@@ -100,7 +126,7 @@ def reduced_pole_order(f: WittVector, place) -> int:
     if vals:
         return max(vals)
     digits = tuple(t[1] if t and t[0] == 0 else 0 for t in rf.terms)
-    R = get_galois_ring(p, l, rf.reduced.ring.field.m)
+    R = get_galois_ring(p, l, f.ring.field.m * rf.k)
     tr = R.absolute_trace(R.from_digits(digits))
     return -1 if tr % p**l == 0 else 0
 

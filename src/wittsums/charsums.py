@@ -199,7 +199,7 @@ def _digits_at(fvec, place, twist_key):
     Tr(b P(z)) = Tr((F^-1(b) - b) z), and the reduced value is not a value
     of f's class."""
     rf = artin_reduce_at(fvec, place)
-    if twist_key is not None and any(twist_key[1:]) and not rf.witness.is_zero():
+    if twist_key is not None and any(twist_key[1:]) and rf.stepped:
         raise ValueError(
             f"a removable pole at {place!r} outside the exclusions, with a "
             f"twist off Z/{fvec.params.p ** fvec.params.l}"
@@ -207,7 +207,7 @@ def _digits_at(fvec, place, twist_key):
     if any(t and t[0] < 0 for t in rf.terms):
         raise ZeroDivisionError(f"a pole at {place!r} outside the exclusions")
     digits = [t[1] if t and t[0] == 0 else 0 for t in rf.terms]
-    return digits, rf.reduced.ring.field.m // fvec.ring.field.m
+    return digits, rf.k
 
 
 def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None) -> CharSumResult:
@@ -309,6 +309,9 @@ def l_function(fvec: WittVector, terms: int | None = None, twist=None) -> LFunct
     n_terms = terms if terms is not None else degree + 2
     if n_terms < degree:
         raise ValueError(f"need at least {degree} terms to determine the polynomial")
+    q = fvec.ring.field.q
+    if q**n_terms > ENUMERATION_CAP:  # the largest sum, refused before the first
+        raise EnumerationCapError(f"point enumeration size {q}^{n_terms} exceeds cap {ENUMERATION_CAP}")
     power_sums = [
         sum_witt(fvec, d, exclusions=cond.support, twist=twist).value for d in range(1, n_terms + 1)
     ]

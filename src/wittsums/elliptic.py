@@ -16,9 +16,7 @@ import numpy as np
 from .fields import FiniteField, extension, get_embedding, get_embedding_over
 from .poly import OperatorRing, Poly, factor, power, roots_in_field
 from .rational import ENUMERATION_CAP, EnumerationCapError, RationalFunction
-from .series import LaurentSeries, PrecisionError, eval_poly_at_series
-
-MAX_SERIES_PREC = 1 << 16
+from .series import MAX_SERIES_PREC, LaurentSeries, PrecisionError, eval_poly_at_series
 
 
 @lru_cache(maxsize=128)
@@ -628,33 +626,6 @@ class EllipticFunctionField(OperatorRing):
         xs, ys = points
         on = [x * big.q + y for x, y in place.points_in(big)]
         return np.isin(xs * big.q + ys, on)
-
-    def witness(self, place, s: int):
-        """(g, lam): v_P(g) = -s with leading coefficient lam, at the origin
-        or a rational affine place."""
-        E = self.curve
-        x, y = EllipticFunction.x(E), EllipticFunction.y(E)
-        if isinstance(place, OriginPlace):
-            # pole orders at the origin: x has 2, y has 3; x^a or x^a*y
-            # realizes every order s >= 2, and y/x realizes order 1
-            if s == 1:
-                g = y / x
-            elif s % 2 == 0:
-                g = x ** (s // 2)
-            else:
-                g = x ** ((s - 3) // 2) * y
-            v, lam = g.leading_term_at(place)
-            if v != -s:
-                raise ArithmeticError(f"witness has pole order {-v} at the origin, not {s}")
-            return g, lam
-        if place.ext_degree != 1:
-            raise ValueError("a witness needs a rational place")
-        x0, y0 = place.representative
-        if place.unramified_over_x:
-            lin = x - EllipticFunction.const(E, x0)
-        else:
-            lin = y - EllipticFunction.const(E, y0)
-        return lin ** (-s), 1
 
     def rational_above(self, place):
         """(ring', place', emb): a rational place above `place`, over the

@@ -17,7 +17,8 @@ from .elliptic import EllipticCurve, EllipticFunction
 from .fields import FiniteField
 from .galois_rings import GaloisRing
 from .rational import ENUMERATION_CAP, EnumerationCapError, RationalFunction
-from .witt import _padd, _pmul, _ppow
+from .poly import power
+from .witt import _padd, _pmul
 
 
 class ParseError(ValueError):
@@ -142,38 +143,44 @@ def parse_field_vector(text: str, field: FiniteField) -> list[int]:
 
 
 class _IntPoly:
-    """Integer polynomial in x, y (a dict from (deg_x, deg_y) to a nonzero
-    int) for reading curve equations and, with T in place of x,
-    polynomials over a Galois ring."""
+    """Integer polynomial in x, y (a dict from (deg_x, deg_y) to an int),
+    reduced mod `mod` after every operation, for reading curve equations
+    and, with T in place of x, polynomials over a Galois ring.  A power of
+    degree past `max_deg` is refused before it is taken."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "mod", "max_deg")
 
-    def __init__(self, terms: dict):
-        self.terms = terms
+    def __init__(self, terms: dict, mod: int, max_deg: float = float("inf")):
+        self.terms = {e: c % mod for e, c in terms.items() if c % mod}
+        self.mod, self.max_deg = mod, max_deg
 
     def __add__(self, other):
-        return _IntPoly(_padd(self.terms, other.terms))
+        return _IntPoly(_padd(self.terms, other.terms), self.mod, self.max_deg)
 
     def __sub__(self, other):
-        return _IntPoly(_padd(self.terms, other.terms, -1))
+        return _IntPoly(_padd(self.terms, other.terms, -1), self.mod, self.max_deg)
 
     def __neg__(self):
-        return _IntPoly(_padd({}, self.terms, -1))
+        return _IntPoly(_padd({}, self.terms, -1), self.mod, self.max_deg)
 
     def __mul__(self, other):
-        return _IntPoly(_pmul(self.terms, other.terms))
+        return _IntPoly(_pmul(self.terms, other.terms), self.mod, self.max_deg)
 
     def __pow__(self, n):
         if n < 0:
             raise ParseError("negative powers are not polynomials")
-        return _IntPoly(_ppow(self.terms, n, {(0, 0): 1}))
+        if n * max(map(sum, self.terms), default=0) > self.max_deg:
+            raise EnumerationCapError(f"a power of degree above the cap {self.max_deg}")
+        return power(self, n, _IntPoly({(0, 0): 1}, self.mod, self.max_deg))
 
     def __truediv__(self, other):
         raise ParseError("division is not allowed in a polynomial")
 
 
-def _int_const(n: int) -> _IntPoly:
-    return _IntPoly({(0, 0): n} if n else {})
+def _parse_int_poly(text: str, names: str, mod: int, max_deg: float = float("inf")) -> dict:
+    """The terms of an integer polynomial in one or two variables, mod `mod`."""
+    env = {v: _IntPoly({e: 1}, mod, max_deg) for v, e in zip(names, ((1, 0), (0, 1)))}
+    return parse_expression(text, env, lambda n: _IntPoly({(0, 0): n}, mod, max_deg)).terms
 
 
 def parse_gr_polynomial(text: str, ring: GaloisRing) -> list:
@@ -182,11 +189,12 @@ def parse_gr_polynomial(text: str, ring: GaloisRing) -> list:
 
     Its Teichmuller sum takes q * (degree + 1) steps; past ENUMERATION_CAP
     the polynomial is refused before its coefficient list is built."""
-    terms = parse_expression(text, {"T": _IntPoly({(1, 0): 1})}, _int_const).terms
-    deg = max((k for (k, _), c in terms.items() if c % ring.pl), default=0)
-    if ring.residue_field.q * (deg + 1) > ENUMERATION_CAP:
+    q = ring.residue_field.q
+    terms = _parse_int_poly(text, "T", ring.pl, ENUMERATION_CAP // q - 1)
+    deg = max((k for k, _ in terms), default=0)
+    if q * (deg + 1) > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"Teichmuller sum of degree {deg} over F_{ring.residue_field.q} "
+            f"Teichmuller sum of degree {deg} over F_{q} "
             f"exceeds the enumeration cap {ENUMERATION_CAP}"
         )
     return [ring.from_int(terms.get((k, 0), 0)) for k in range(deg + 1)]
@@ -197,9 +205,8 @@ def parse_curve(text: str, field: FiniteField) -> EllipticCurve:
     if "=" not in text:
         raise ParseError("curve specification needs '='")
     lhs, rhs = text.split("=", 1)
-    env = {"x": _IntPoly({(1, 0): 1}), "y": _IntPoly({(0, 1): 1})}
-    coeff = (parse_expression(lhs, env, _int_const) - parse_expression(rhs, env, _int_const)).terms
     p = field.p
+    coeff = _padd(_parse_int_poly(lhs, "xy", p), _parse_int_poly(rhs, "xy", p), -1)
     allowed = {(0, 2), (1, 1), (0, 1), (3, 0), (2, 0), (1, 0), (0, 0)}
     if set(coeff) - allowed:
         raise ParseError("not a Weierstrass equation")

@@ -416,16 +416,6 @@ class RationalFunctionField(OperatorRing):
         pol = place.poly.map_field(emb) if emb else place.poly
         return pol.eval_array(points[0]) == 0
 
-    def witness(self, place, s: int):
-        """(g, lam): v_P(g) = -s with leading coefficient lam, at infinity or
-        a rational finite place."""
-        F = self.field
-        if isinstance(place, InfinitePlace):
-            return RationalFunction.x(F) ** s, 1
-        if place.degree != 1:
-            raise ValueError("a witness needs a rational place")
-        return RationalFunction(Poly.one(F), place.poly**s, _normalized=True), 1
-
     def rational_above(self, place):
         """(ring', place', emb): a rational place above `place` over the
         constant-field extension by its degree, with the embedding of the

@@ -42,6 +42,7 @@ import numpy as np
 from .fields import FiniteField
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+MAX_SERIES_PREC = 1 << 16  # the most terms a precision-doubling loop asks for
 
 
 class PrecisionError(ArithmeticError):

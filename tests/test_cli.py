@@ -1,6 +1,7 @@
 """Command-line interface: grammars, output schemas, and exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -22,6 +23,18 @@ def test_sum_worked_case(capsys):
     assert data["ring"] == {"p": 2, "l": 2, "m": 1}
     assert abs(data["sum"]["abs"] - 2**0.5) < 1e-9
     assert data["sum"]["coeffs"] == [1, 1]  # 1 + i
+
+
+def test_sum_of_a_large_power(capsys):
+    """A power in --f gives the sum of its reduced expansion."""
+    code, out = run(capsys, ["sum", "--ring", "2,2,1", "--f", "(T+1)^3000"])
+    assert code == 0
+    expanded = "+".join(f"{c}*T^{k}" for k in range(3001) if (c := math.comb(3000, k) % 4))
+    code2, out2 = run(capsys, ["sum", "--ring", "2,2,1", "--f", expanded])
+    assert code2 == 0
+    data, data2 = json.loads(out), json.loads(out2)
+    assert data.pop("f") == "(T+1)^3000" and data2.pop("f") == expanded
+    assert data == data2
 
 
 def test_sum_constants(capsys):
@@ -266,6 +279,8 @@ def test_singular_curve_exit4(capsys):
         (["sum", "--ring", "2,2,1", "--f", "T/2"], 2),
         # a sum of 2 * (10^8 + 1) Horner steps: refused before any coefficient is built
         (["sum", "--ring", "2,2,1", "--f", "T^100000000"], 3),
+        # S_15 would enumerate 3^15 points: refused before S_1 is summed
+        (["lfun", "--ring", "3,2,1", "--f-witt", "(x^5,0)", "--terms", "15"], 3),
     ],
 )
 def test_exit_code_table(capsys, argv, expected):

@@ -2,6 +2,7 @@
 and exact cyclotomic integers."""
 
 import cmath
+import math
 import random
 
 import pytest
@@ -15,8 +16,14 @@ from wittsums import (
     get_galois_ring,
     get_gr_embedding,
 )
-from wittsums.fields import FIELD_SIZE_CAP, FieldCapError, isprime, primefactors
-from wittsums.parsing import parse_gr_polynomial
+from wittsums.fields import (
+    FIELD_SIZE_CAP,
+    EnumerationCapError,
+    FieldCapError,
+    isprime,
+    primefactors,
+)
+from wittsums.parsing import parse_curve, parse_gr_polynomial
 
 
 # -- finite fields ---------------------------------------------------------
@@ -215,6 +222,35 @@ def test_parse_gr_polynomial_reduces_integer_coefficients():
     assert parse_gr_polynomial("(T+1)^4-4*T", Z4) == coeffs
     # 4*T^5 vanishes in Z/4: no trailing zero coefficient is kept
     assert parse_gr_polynomial("4*T^5+T", Z4) == [Z4.zero(), Z4.one()]
+
+
+def test_parse_gr_polynomial_reduces_as_it_goes():
+    """Coefficients are reduced mod p^l after every operation, so a power
+    costs what its reduced terms cost, and a power past the Teichmuller-sum
+    cap is refused before it is taken."""
+    Z4 = get_galois_ring(2, 2, 1)
+    want = [Z4.from_int(math.comb(3000, k) % 4) for k in range(3001)]
+    assert parse_gr_polynomial("(T+1)^3000", Z4) == want
+    # (1 + T)^(2^k) = 1 + 2 T^(2^(k-1)) + T^(2^k) mod 4: three terms, where
+    # the exact binomials would be 2^16 integers of up to 2^16 bits
+    big = parse_gr_polynomial("(T+1)^65536", Z4)
+    assert len(big) == 2**16 + 1
+    assert [k for k, c in enumerate(big) if c != Z4.zero()] == [0, 2**15, 2**16]
+    assert big[2**15] == Z4.from_int(2) and big[-1] == Z4.one()
+    assert parse_gr_polynomial("3^10000001*T", Z4) == [Z4.zero(), Z4.from_int(3)]
+    # over F_2 the sum of a polynomial of degree d takes 2 (d + 1) steps, so
+    # the cap of 10^7 steps admits degree 4999999 and no more
+    with pytest.raises(EnumerationCapError):
+        parse_gr_polynomial("(T+1)^5000000", Z4)
+    with pytest.raises(EnumerationCapError):
+        parse_gr_polynomial("(T^2500000)^2", Z4)
+
+
+def test_parse_curve_reduces_mod_p():
+    F2 = get_field(2, 1)
+    E = parse_curve("y^2 + y = x^3", F2)
+    assert parse_curve("3*y^2 + y = x^3 + 2*x^4 + 4", F2) == E
+    assert parse_curve("y^2 + y = (x + 1)^3 - 3*x^2 - 3*x - 1", F2) == E
 
 
 def test_gr_embedding_examples():

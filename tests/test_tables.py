@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import numpy as np
 
 from wittsums.asw import (
-    artin_reduce_at,
     candidate_pole_places,
     conductor,
     witt_function,
@@ -57,6 +56,8 @@ from wittsums.rational import (
     RationalFunctionField,
 )
 from wittsums.witt import WittVector
+
+from global_reduction import global_artin_reduce_at
 
 # -- oracles -------------------------------------------------------------------
 
@@ -200,14 +201,14 @@ def oracle_sum_p1(fvec, d, exclusions, twist_key=None):
         if x0 in excluded:
             continue
         pl_ = point_place.get(x0)
-        coords = fvec.coords if pl_ is None else artin_reduce_at(fvec, pl_).reduced.coords
+        coords = fvec.coords if pl_ is None else global_artin_reduce_at(fvec, pl_).reduced.coords
         rfield = coords[0].field
         remb = emb if rfield == F else get_embedding(p, rfield.m, big.m)
         tally(tuple(c.eval(x0, big, remb) if remb else c.eval(x0) for c in coords))
         term_count += 1
     if not any(isinstance(e, InfinitePlace) for e in exclusions):
         inf = InfinitePlace(F)
-        coords = artin_reduce_at(fvec, inf).reduced.coords
+        coords = global_artin_reduce_at(fvec, inf).reduced.coords
         base = tuple(0 if c.is_zero() else c.laurent_at(inf, 1).coeff(0) for c in coords)
         tally(tuple(emb(a) for a in base) if emb else base)
         term_count += 1
@@ -291,7 +292,7 @@ def oracle_sum_elliptic(fvec, d, exclusions, twist_key=None):
         if pl_ is None:
             coords, remb = fvec.coords, emb
         else:
-            reduced = artin_reduce_at(fvec, pl_).reduced
+            reduced = global_artin_reduce_at(fvec, pl_).reduced
             rfield = reduced.ring.curve.field
             coords = reduced.coords
             remb = None if rfield == big else get_embedding(p, rfield.m, big.m)
@@ -299,7 +300,7 @@ def oracle_sum_elliptic(fvec, d, exclusions, twist_key=None):
         term_count += 1
     if not any(isinstance(e, OriginPlace) for e in exclusions):
         O = OriginPlace(E)
-        coords = artin_reduce_at(fvec, O).reduced.coords
+        coords = global_artin_reduce_at(fvec, O).reduced.coords
         base = tuple(0 if c.is_zero() else c.laurent_at(O, 1).coeff(0) for c in coords)
         tally(tuple(emb(a) for a in base) if emb else base)
         term_count += 1
