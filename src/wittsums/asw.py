@@ -105,7 +105,7 @@ def artin_reduce_at(f: WittVector, place) -> ReducedForm:
     prec = max(p ** (l - 1 - i) * -t[0] for i, t in enumerate(terms) if t and t[0] < 0) + 2
     while prec <= MAX_SERIES_PREC:
         try:
-            return ReducedForm(place, k, _reduce_locally(ring, place, coords, prec), True)
+            return ReducedForm(place, k, _reduce_locally(ring, place, coords, prec), stepped=True)
         except PrecisionError:
             prec *= 2
     raise PrecisionError("Artin reduction did not resolve within the precision cap")
