@@ -5,7 +5,7 @@ integer arithmetic in Z/4 through the digit isomorphism, and demonstrates
 Teichmuller lifts and additive characters.
 """
 
-from wittsums import WittParams, WittVector, get_field, get_galois_ring
+from wittsums import CyclotomicInteger, WittParams, WittVector, get_field, get_galois_ring
 
 F2 = get_field(2, 1)
 params = WittParams(2, 2)
@@ -32,8 +32,9 @@ for a in R.residue_field.elements():
     print(f"  [{a}] = {t},  [{a}]^4 = {R.pow(t, 4)}")
 print()
 
-psi = R.additive_character(None)
 alpha = R.element((0, 1))
-print(f"Absolute trace of alpha in GR(4,2): {R.absolute_trace(alpha)}")
-print(f"psi(alpha) as an exact cyclotomic integer: {psi(alpha)}")
-print(f"  complex value: {psi(alpha).complex_value():.4f}  (= -i)")
+tr = R.absolute_trace(alpha)
+psi_alpha = CyclotomicInteger.zeta_pow(2, 2, tr)  # psi(x) = i^Tr(x)
+print(f"Absolute trace of alpha in GR(4,2): {tr}")
+print(f"psi(alpha) as an exact cyclotomic integer: {psi_alpha}")
+print(f"  complex value: {psi_alpha.complex_value():.4f}  (= -i)")

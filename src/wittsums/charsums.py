@@ -1,23 +1,27 @@
 """Exponential sums, L-functions, and explicit bound evaluators.
 
-Two sum shapes are supported: sums over the Teichmuller subset of a Galois
-ring GR(p^l, m), and sums over the k_d-points of a curve (P^1 or an
-elliptic model) of an additive character applied to the trace of a Witt
-vector of functions.  Sums are accumulated exactly as cyclotomic integers,
-from counts of character exponents mod p^l.
+Two sum shapes are supported, and both go through the trace tables: sums
+over the Teichmuller subset of a Galois ring GR(p^l, m), and sums over the
+k_d-points of a curve (P^1 or an elliptic model) of an additive character
+applied to the trace of a Witt vector of functions.  Sums are accumulated
+exactly as cyclotomic integers, from counts of character exponents mod p^l.
 
 A point's exponent is a sum of table lookups, one per Witt digit: the
 per-extension trace table (`_digit_trace_tables`, a numpy array) holds the
 exponent of every digit in every slot, built as the orbit of 1 under
-multiplication by a Teichmuller generator, block by block.  One engine sums
-over P^1 and elliptic curves alike, through the curve adapter that each
-function-field ring carries: the affine points over F_{q^d} as code arrays
-(x alone on P^1, x and y on an elliptic curve), the mask of a place's points,
-the places above a denominator's factor, and the base place (infinity or the
-origin).  Each coordinate is evaluated over all points at once through the
-field's array operations and the exponents are counted with one bincount.
-The base place and the places above a denominator's factor are summed once
-per closed point, from one local Artin reduction each.
+multiplication by a Teichmuller generator, block by block.
+
+A Teichmuller sum folds its coefficients into exponent classes mod q - 1
+and looks up the digits of c [x]^k, (c_i x^(k p^i))_i, in the table of
+GR(p^l, m), at all points at once.  One engine sums over P^1 and elliptic
+curves alike, through the curve adapter that each function-field ring
+carries: the affine points over F_{q^d} as code arrays (x alone on P^1, x
+and y on an elliptic curve), the mask of a place's points, the places above
+a denominator's factor, and the base place (infinity or the origin).  Each
+coordinate is evaluated over all points at once through the field's array
+operations and the exponents are counted with one bincount.  The base place
+and the places above a denominator's factor are summed once per closed
+point, from one local Artin reduction each.
 
 The Kumar sweep uses the same trace table: at a Teichmuller point x the
 exponent of f = sum [a_k] T^k + p sum [b_k] T^k is a sum of table lookups,
@@ -110,20 +114,47 @@ class CharSumResult:
 
 
 def sum_teichmuller(R: GaloisRing, coeffs, twist=None) -> CharSumResult:
-    """Exact sum of psi_b(f(x)) over the Teichmuller subset of R."""
-    if R.residue_field.q > ENUMERATION_CAP:
+    """Exact sum of psi_b(f(x)) over the Teichmuller subset of R, on the
+    trace table of R.
+
+    On the Teichmuller set x^k = x^r for k > 0 and r = (k-1) mod (q-1) + 1,
+    since [0]^k = 0 and [a]^(q-1) = 1 for a != 0, so the coefficients are
+    first folded into at most q exponent classes.  The lift is
+    multiplicative, so c [a]^r has Witt digits (c_i a^(r p^i))_i, (c_i)
+    those of c, and the exponent at [a] is sum_r sum_i C[i, c_i a^(r p^i)]
+    mod p^l, C the trace table: one array over the nonzero a = g^L per
+    digit, read through the field's log table (r p^i is reduced mod q - 1
+    first).  At a = 0 only the constant term counts.
+    """
+    F = R.residue_field
+    q = F.q
+    if q > ENUMERATION_CAP:
         raise EnumerationCapError("Teichmuller set exceeds the enumeration cap")
-    coeffs = [R.from_int(c) if isinstance(c, int) else c for c in coeffs]
-    psi = R.additive_character(twist)
-    acc = CyclotomicInteger.zero(R.p, R.l)
-    count = 0
-    for x in R.teichmuller_set():
-        val = R.zero()
-        for c in reversed(coeffs):
-            val = R.add(R.mul(val, x), c)
-        acc = acc + psi(val)
-        count += 1
-    return CharSumResult.from_value(acc, count)
+    p, l, pl_mod = R.p, R.l, R.pl
+    folded = {}
+    for k, c in enumerate(coeffs):
+        if isinstance(c, int):
+            c = R.from_int(c)
+        r = (k - 1) % (q - 1) + 1 if k else 0
+        folded[r] = R.add(folded.get(r, R.zero()), c)
+    C = _digit_trace_tables(p, l, F.m, 1, None if twist is None else R.element(twist))
+    by_log = C[:, F._exp_a]  # by_log[i, L] = C[i, g^L]
+    logs = np.arange(q - 1, dtype=np.int64)
+    t = np.zeros(q - 1, dtype=np.int64)  # the exponents at g^0, ..., g^(q-2)
+    t0 = 0  # the exponent at 0
+    for r, c in folded.items():
+        for i, a in enumerate(R.witt_digits(c)):
+            if not a:
+                continue  # digit 0 contributes exponent 0
+            if not r:
+                t0 += int(C[i, a])
+                continue
+            e = r * pow(p, i, q - 1) % (q - 1)
+            t += by_log[i][(F.log[a] + e * logs) % (q - 1)]
+    counts = np.bincount((t + t0) % pl_mod, minlength=pl_mod)
+    counts[t0 % pl_mod] += 1
+    value = CyclotomicInteger._reduce(p, l, counts.tolist())
+    return CharSumResult.from_value(value, q)
 
 
 # -- trace tables for point sums -----------------------------------------
@@ -296,9 +327,11 @@ def l_function(fvec: WittVector, terms: int | None = None, twist=None) -> LFunct
     """The L-polynomial of the character attached to fvec, from exact power
     sums S_d via the Newton recursion n*c_n = sum_d S_d c_(n-d).
 
-    Coefficients are exact cyclotomic integers (integrality of the recursion
-    output is asserted); the claimed degree is deg D + 2g - 2 and trailing
-    coefficients beyond it are checked to vanish exactly.
+    Coefficients are exact cyclotomic integers: each n*c_n is divided by n
+    coefficient by coefficient, and a remainder raises ArithmeticError,
+    since c_n is then not an algebraic integer.  The claimed degree is
+    deg D + 2g - 2 and trailing coefficients beyond it are checked to vanish
+    exactly.
     """
     if not is_nondegenerate(fvec):
         raise DegenerateInputError("the first coordinate lies in k + P(K)")
@@ -320,22 +353,20 @@ def l_function(fvec: WittVector, terms: int | None = None, twist=None) -> LFunct
         acc = CyclotomicInteger.zero(p, l)
         for d in range(1, n + 1):
             acc = acc + power_sums[d - 1] * coeffs[n - d]
-        coeffs.append(acc.divide_exact(n))
-    exact = []
-    for c in coeffs:
-        if not c.is_integral():
-            raise ArithmeticError("L-polynomial coefficient is not an algebraic integer")
-        exact.append(c.to_integral())
-    trailing_zero = all(exact[n].is_zero() for n in range(degree + 1, n_terms + 1))
+        try:
+            coeffs.append(acc.divide_exact(n))
+        except ArithmeticError:
+            raise ArithmeticError("L-polynomial coefficient is not an algebraic integer") from None
+    trailing_zero = all(coeffs[n].is_zero() for n in range(degree + 1, n_terms + 1))
     # inverse-root moduli from the complex embedding of the claimed polynomial
-    cpoly = [exact[k].complex_value() for k in range(degree + 1)]
+    cpoly = [coeffs[k].complex_value() for k in range(degree + 1)]
     if degree > 0:
         roots = np.roots(list(reversed(cpoly)))
         moduli = tuple(sorted(float(1.0 / abs(r)) for r in roots))
     else:
         moduli = ()
     return LFunctionResult(
-        coefficients=tuple(exact),
+        coefficients=tuple(coeffs),
         claimed_degree=degree,
         conductor_degree=cond.degree,
         trailing_zero=trailing_zero,

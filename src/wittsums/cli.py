@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -57,15 +56,6 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_MATH = 4
 EXIT_INTERNAL = 5
-
-
-def _cyclotomic_coeffs(c):
-    """JSON-safe coefficient list: ints when integral, 'a/b' strings else."""
-    out = []
-    for v in c.coeffs:
-        f = Fraction(v)
-        out.append(int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}")
-    return out
 
 
 def _write(args, text: str):
@@ -181,7 +171,7 @@ def cmd_sum(args) -> int:
     payload = {
         "ring": {"p": p, "l": l, "m": m},
         "f": args.f,
-        "sum": {"coeffs": _cyclotomic_coeffs(res.value), "abs": res.modulus},
+        "sum": {"coeffs": list(res.value.coeffs), "abs": res.modulus},
         "terms": res.term_count,
     }
     _emit(args, payload)
@@ -208,8 +198,7 @@ def cmd_lfun(args) -> int:
         "degree": result.claimed_degree,
         "conductor_degree": result.conductor_degree,
         "coefficients": [
-            _cyclotomic_coeffs(c)
-            for c in result.coefficients[: result.claimed_degree + 1]
+            list(c.coeffs) for c in result.coefficients[: result.claimed_degree + 1]
         ],
         "trailing_zero": result.trailing_zero,
         "inverse_root_moduli": list(result.inverse_root_moduli),

@@ -2,13 +2,12 @@
 
 Elements are coefficient vectors of length phi = p^(l-1)*(p-1), reduced
 modulo the cyclotomic polynomial Phi_{p^l}(X) = sum_{i<p} X^(i*p^(l-1)).
-Coefficients are ints (or exact Fractions during L-function recursions).
+Coefficients are ints: 1, zeta, ..., zeta^(phi-1) is a basis of Z[zeta].
 """
 
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 
 
 class CyclotomicInteger:
@@ -71,17 +70,6 @@ class CyclotomicInteger:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def is_integral(self) -> bool:
-        return all(
-            isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
-            for c in self.coeffs
-        )
-
-    def to_integral(self) -> "CyclotomicInteger":
-        if not self.is_integral():
-            raise ValueError("element has non-integer coefficients")
-        return CyclotomicInteger(self.p, self.l, tuple(int(c) for c in self.coeffs))
-
     def __eq__(self, other):
         if not isinstance(other, CyclotomicInteger):
             return NotImplemented
@@ -110,7 +98,7 @@ class CyclotomicInteger:
         return CyclotomicInteger(self.p, self.l, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return CyclotomicInteger(self.p, self.l, tuple(c * other for c in self.coeffs))
         self._check(other)
         n = self.p**self.l
@@ -125,10 +113,16 @@ class CyclotomicInteger:
     __rmul__ = __mul__
 
     def divide_exact(self, n: int) -> "CyclotomicInteger":
-        """Division by a nonzero integer, producing Fraction coefficients."""
-        return CyclotomicInteger(
-            self.p, self.l, tuple(Fraction(c, n) if not isinstance(c, Fraction) else c / n for c in self.coeffs)
-        )
+        """The quotient by a nonzero integer n.  The power basis is
+        integral, so the quotient lies in Z[zeta] exactly when n divides
+        every coefficient; ArithmeticError otherwise."""
+        out = []
+        for c in self.coeffs:
+            quo, rem = divmod(c, n)
+            if rem:
+                raise ArithmeticError(f"{self!r} is not divisible by {n}")
+            out.append(quo)
+        return CyclotomicInteger(self.p, self.l, out)
 
     def conjugate_power(self, t: int) -> "CyclotomicInteger":
         """Galois action zeta -> zeta^t, for t prime to p."""

@@ -1,4 +1,4 @@
-"""Galois rings GR(p^l, m), Teichmuller lifts, traces and additive characters.
+"""Galois rings GR(p^l, m), Teichmuller lifts and traces.
 
 Elements are tuples of m integers modulo p^l (coefficients of the residue
 polynomial).  The modulus is the coefficient-wise integer lift of the
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclotomic import CyclotomicInteger
 from .fields import FiniteField, _poly_mul_mod, _poly_pow_mod, get_embedding, get_field
 from .witt import WittParams, WittVector
 
@@ -175,17 +174,6 @@ class GaloisRing:
         if any(acc[1:]):
             raise ArithmeticError("trace left the prime subring")
         return acc[0]
-
-    def additive_character(self, b=None):
-        """psi_b(x) = zeta^(Tr(b*x)); b defaults to 1."""
-        if b is None:
-            b = self.one()
-
-        def psi(x):
-            t = self.absolute_trace(self.mul(b, x))
-            return CyclotomicInteger.zeta_pow(self.p, self.l, t)
-
-        return psi
 
     def elements(self):
         """Iterate all p^(lm) elements (desk scale only)."""

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import ast
 
+import numpy as np
+
 from .elliptic import EllipticCurve, EllipticFunction
 from .fields import FiniteField
 from .galois_rings import GaloisRing
@@ -142,6 +144,34 @@ def parse_field_vector(text: str, field: FiniteField) -> list[int]:
     return out
 
 
+def _dense_in_first_variable(a: dict, b: dict) -> bool:
+    """Whether a and b are polynomials in the first variable alone (T, or x
+    of a curve) with enough terms that a product on coefficient arrays,
+    (deg a + 1)(deg b + 1) steps in numpy, beats one on dicts,
+    len(a) len(b) steps in Python."""
+    if not a or not b or any(e[1] for e in a) or any(e[1] for e in b):
+        return False
+    da, db = max(a)[0], max(b)[0]
+    return (da + 1) * (db + 1) <= 64 * len(a) * len(b)
+
+
+def _array_product(a: dict, b: dict, mod: int) -> dict:
+    """a * b mod `mod` for polynomials in the first variable alone, as a
+    convolution of coefficient arrays.  A coefficient of the product sums
+    at most min(len(a), len(b)) products of reduced coefficients, so int64
+    holds it exactly while that count times (mod - 1)^2 is below 2^63;
+    past that the arrays hold Python ints."""
+    exact = min(len(a), len(b)) * (mod - 1) ** 2 < 2**63
+    arrays = []
+    for terms in (a, b):
+        v = np.zeros(max(terms)[0] + 1, dtype=np.int64 if exact else object)
+        for (k, _), c in terms.items():
+            v[k] = c
+        arrays.append(v)
+    prod = np.convolve(*arrays) % mod
+    return {(int(k), 0): int(prod[k]) for k in np.flatnonzero(prod)}
+
+
 class _IntPoly:
     """Integer polynomial in x, y (a dict from (deg_x, deg_y) to an int),
     reduced mod `mod` after every operation, for reading curve equations
@@ -164,7 +194,10 @@ class _IntPoly:
         return _IntPoly(_padd({}, self.terms, -1), self.mod, self.max_deg)
 
     def __mul__(self, other):
-        return _IntPoly(_pmul(self.terms, other.terms), self.mod, self.max_deg)
+        a, b = self.terms, other.terms
+        if _dense_in_first_variable(a, b):
+            return _IntPoly(_array_product(a, b, self.mod), self.mod, self.max_deg)
+        return _IntPoly(_pmul(a, b), self.mod, self.max_deg)
 
     def __pow__(self, n):
         if n < 0:
@@ -187,8 +220,8 @@ def parse_gr_polynomial(text: str, ring: GaloisRing) -> list:
     """Coefficient list (constant first) of a polynomial in T over GR, with
     its integer coefficients mapped into the prime subring Z/p^l.
 
-    Its Teichmuller sum takes q * (degree + 1) steps; past ENUMERATION_CAP
-    the polynomial is refused before its coefficient list is built."""
+    The list has degree + 1 entries: when q * (degree + 1) passes
+    ENUMERATION_CAP the polynomial is refused before the list is built."""
     q = ring.residue_field.q
     terms = _parse_int_poly(text, "T", ring.pl, ENUMERATION_CAP // q - 1)
     deg = max((k for k, _ in terms), default=0)

@@ -32,12 +32,15 @@ from wittsums import (
     is_nondegenerate,
     l_function,
     reduced_pole_order,
+    sum_teichmuller,
     sum_witt,
     sweep_kumar,
     theorem12_check,
     witt_function,
     wp,
 )
+
+from teichmuller_oracle import additive_character, sum_teichmuller_pointwise
 
 
 def _report(n, label, elapsed, budget, detail):
@@ -131,6 +134,8 @@ def test_criterion_03_teichmuller_identity():
             deg = rng.randrange(0, 5)
             coeffs = [rng.randrange(p**l) for _ in range(deg + 1)]
             assert theorem12_check(R, coeffs)
+            # both sides read one trace table: the per-point oracle checks it
+            assert sum_teichmuller(R, coeffs).value == sum_teichmuller_pointwise(R, coeffs)
             count += 1
     _report(
         3, "Teichmuller-sum = point-sum identity", time.time() - t0, 60,
@@ -447,7 +452,7 @@ def test_criterion_10_psi_wp_triviality():
         except ZeroDivisionError:
             continue
         R = get_galois_ring(p, l, m)
-        psi = R.additive_character(None)
+        psi = additive_character(R)
         assert psi(R.from_digits(digits)) == CyclotomicInteger.one(p, l)
         done += 1
     _report(

@@ -34,6 +34,8 @@ from wittsums import (
     witt_function,
 )
 
+from teichmuller_oracle import sum_teichmuller_pointwise
+
 
 def p1_fvec(p, m, *powers):
     F = get_field(p, m)
@@ -70,13 +72,20 @@ def test_sum_teichmuller_examples():
     assert abs(res1.modulus - 3.0) < 1e-12
 
 
+def _assert_theorem12(R, coeffs):
+    """Both sides of the identity read the same trace table, so the left
+    side is also compared with the per-point oracle."""
+    assert theorem12_check(R, coeffs)
+    assert sum_teichmuller(R, coeffs).value == sum_teichmuller_pointwise(R, coeffs)
+
+
 def test_theorem12_identity_examples():
     Z4 = get_galois_ring(2, 2, 1)
-    assert theorem12_check(Z4, [0, 1])
-    assert theorem12_check(Z4, [1, 1, 1])
-    assert theorem12_check(Z4, [0])  # constant
+    _assert_theorem12(Z4, [0, 1])
+    _assert_theorem12(Z4, [1, 1, 1])
+    _assert_theorem12(Z4, [0])  # constant
     R = get_galois_ring(3, 2, 1)
-    assert theorem12_check(R, [0, 1, 0, 2])
+    _assert_theorem12(R, [0, 1, 0, 2])
 
 
 def test_theorem12_random():
@@ -86,7 +95,59 @@ def test_theorem12_random():
         for _ in range(6):
             deg = rng.randrange(0, 4)
             coeffs = [rng.randrange(p**l) for _ in range(deg + 1)]
-            assert theorem12_check(R, coeffs)
+            _assert_theorem12(R, coeffs)
+
+
+DIFFERENTIAL_RINGS = [(2, 2, 1), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 1),
+                      (5, 2, 1), (2, 4, 2), (2, 2, 4), (3, 4, 1)]
+
+
+@pytest.mark.parametrize("p,l,m", DIFFERENTIAL_RINGS)
+def test_sum_teichmuller_matches_pointwise_oracle(p, l, m):
+    """Random coefficients anywhere in the ring, degrees past q - 1 (where
+    x^(q-1) wraps to 1 off 0), and twists off Z/p^l."""
+    R = get_galois_ring(p, l, m)
+    q = p**m
+    rng = random.Random(100 * p + 10 * l + m)
+    for deg in [0, 1, q - 2, q - 1, q, 2 * q - 1] + [rng.randrange(3 * q + 3) for _ in range(8)]:
+        coeffs = [R.element(rng.randrange(p**l) for _ in range(m)) for _ in range(deg + 1)]
+        for twist in (None, R.element(rng.randrange(p**l) for _ in range(m))):
+            res = sum_teichmuller(R, coeffs, twist=twist)
+            assert res.value == sum_teichmuller_pointwise(R, coeffs, twist=twist)
+            assert res.term_count == q
+
+
+@pytest.mark.parametrize("p,l,m", DIFFERENTIAL_RINGS)
+def test_sum_teichmuller_degenerate_inputs(p, l, m):
+    """The empty list and all-zero lists sum to q, a constant c to
+    q psi(c), against the oracle too."""
+    R = get_galois_ring(p, l, m)
+    q = p**m
+    rng = random.Random(7 * p + l + 100 * m)
+    for coeffs in ([], [0], [R.zero()] * (q + 2)):
+        assert sum_teichmuller(R, coeffs).value == CyclotomicInteger.from_int(p, l, q)
+    for _ in range(3):
+        c = R.element(rng.randrange(p**l) for _ in range(m))
+        twist = R.element(rng.randrange(p**l) for _ in range(m))
+        for coeffs in ([c], [c] + [0] * q):
+            res = sum_teichmuller(R, coeffs, twist=twist)
+            assert res.value == sum_teichmuller_pointwise(R, coeffs, twist=twist)
+            psi_c = CyclotomicInteger.zeta_pow(p, l, R.absolute_trace(R.mul(twist, c)))
+            assert res.value == psi_c * q
+
+
+def test_sum_teichmuller_high_powers_at_l4():
+    """Length 4, where the digit of slot 3 is raised to k p^3: sparse
+    polynomials of degree in the thousands."""
+    rng = random.Random(44)
+    for p, m, deg in [(2, 2, 3001), (3, 1, 2000), (5, 1, 1500)]:
+        R = get_galois_ring(p, 4, m)
+        coeffs = [R.zero()] * (deg + 1)
+        for k in [deg, deg - 1, deg // 2 + 1] + [rng.randrange(deg) for _ in range(3)]:
+            coeffs[k] = R.element(rng.randrange(p**4) for _ in range(m))
+        twist = R.element(rng.randrange(p**4) for _ in range(m))
+        assert sum_teichmuller(R, coeffs, twist=twist).value == sum_teichmuller_pointwise(
+            R, coeffs, twist=twist)
 
 
 def test_sum_witt_power_sums_of_x0():
