@@ -4,7 +4,11 @@ Functions on the curve are represented as u(x) + v(x)*y with u, v rational
 functions of x; arithmetic uses y^2 = B(x) - A(x)*y where A = a1*x + a3 and
 B = x^3 + a2*x^2 + a4*x + a6.  Local expansions use the parameter x/y at
 the point at infinity and x - x0 (or y - y0 at ramified points) at affine
-points.
+points.  One Newton solver finds them all: at each place the unknown
+coordinate (1/y, y or x) is a root of a polynomial whose coefficients are
+series in the parameter, and each step doubles its known terms.  The
+leading term at the point at infinity needs no series: x and y lead with
+t^-2 and t^-3.
 """
 
 from __future__ import annotations
@@ -274,104 +278,72 @@ class AffinePlace:
 # -- local expansions ---------------------------------------------------
 
 
+def _newton_root(coeffs, w: LaurentSeries, prec: int) -> LaurentSeries:
+    """The root of H(w) = sum_j coeffs[j] w^j that agrees with the start
+    value w, to precision prec.  The coefficients are LaurentSeries of
+    valuation >= 0 known to precision prec.
+
+    Each step w <- w - H(w)/H'(w) doubles the known terms, H' built once
+    from the j*coeffs[j]; raises ArithmeticError when H'(w) is not a unit at
+    the start value, which is the point being singular on the model."""
+    if prec <= w.prec:
+        return w
+    F = w.field
+    deriv = [c.scale(F.from_int(j)) for j, c in enumerate(coeffs)][1:]
+
+    def horner(cs, w):
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
+            acc = acc * w + c
+        return acc
+
+    if horner(deriv, w).val != 0:
+        raise ArithmeticError("singular point on a smooth model")
+    known = w.prec
+    while known < prec:
+        known = min(2 * known, prec)
+        w = LaurentSeries(F, w.val, w.coeffs, known)
+        w = w - horner(coeffs, w) * horner(deriv, w).inverse()
+    return w
+
+
 @lru_cache(maxsize=128)
 def _origin_xy_series(curve: EllipticCurve, prec: int):
     """Expansions of (x, y) at the origin in the parameter t = x/y.
 
-    Solves w = t^3 - a1*t*w + a2*t^2*w - a3*w^2 + a4*t*w^2 + a6*w^3 for
-    w = 1/y one coefficient at a time, then x = t/w, y = 1/w.  Since w has
-    valuation 3, the coefficient of t^n on the right reads only w_i with
-    i < n; (w^2)_n is kept as a running convolution, and (w^3)_n is its
-    convolution with w.
-    """
-    F = curve.field
-    add, mul = F.add, F.mul
+    w = 1/y is the root of -t^3 + (1 + a1 t - a2 t^2) w + (a3 - a4 t) w^2
+    - a6 w^3 with w = t^3 + O(t^4), where H' = 1 mod t; then x = t/w and
+    y = 1/w."""
+    F, neg = curve.field, curve.field.neg
     wp = prec + 7  # w = 1/y has valuation 3; inversion costs 2*3 terms
+    t = LaurentSeries.t_power(F, 1, wp)
     a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    w, w2 = [0] * wp, [0] * wp
-    for n in range(3, wp):
-        s2 = 0
-        for i in range(3, n - 2):
-            if w[i]:
-                s2 = add(s2, mul(w[i], w[n - i]))
-        s3 = 0
-        for i in range(3, n - 5):
-            if w[i]:
-                s3 = add(s3, mul(w[i], w2[n - i]))
-        w2[n] = s2
-        c = 1 if n == 3 else 0
-        c = F.sub(c, add(mul(a1, w[n - 1]), mul(a3, s2)))
-        c = add(c, add(mul(a2, w[n - 2]), mul(a4, w2[n - 1])))
-        w[n] = add(c, mul(a6, s3))
-    winv = LaurentSeries(F, 0, w, wp).inverse()
-    x = (LaurentSeries.t_power(F, 1, wp) * winv).truncate(prec)
-    y = winv.truncate(prec)
-    return x, y
-
-
-def _newton_y_series(curve, big, emb, x_s, y0, prec):
-    """Solve G(x_s, y) = 0 for a series y with constant term y0 by Newton."""
-    e = emb if emb else (lambda c: c)
-    A = eval_poly_at_series([e(c) for c in curve.poly_A().coeffs], x_s)
-    B = eval_poly_at_series([e(c) for c in curve.poly_B().coeffs], x_s)
-    y = LaurentSeries.const(big, y0, 1)
-    known = 1
-    while known < prec:
-        known = min(2 * known, prec)
-        y = LaurentSeries(big, y.val, y.coeffs, known)
-        Ak, Bk = A.truncate(known), B.truncate(known)
-        g = y * y + Ak * y - Bk
-        gy = y + y + Ak
-        y = (y - g * gy.inverse()).truncate(known)
-    return y
+    polys = ((0, 0, 0, neg(1)), (1, a1, neg(a2)), (a3, neg(a4)), (neg(a6),))
+    coeffs = [eval_poly_at_series(c, t) for c in polys]
+    winv = _newton_root(coeffs, LaurentSeries.t_power(F, 3, 4), wp).inverse()
+    return (t * winv).truncate(prec), winv.truncate(prec)
 
 
 @lru_cache(maxsize=128)
 def _affine_xy_series(place: AffinePlace, prec: int):
     """Expansions of (x, y) at an affine place in its standard parameter.
 
-    Uses t = x - x0 when the point is unramified over the x-line, else
-    t = y - y0.
+    Unramified over the x-line: t = x - x0, and y is the root of
+    y^2 + A(x) y - B(x) near y0.  Ramified: t = y - y0, and x is the root of
+    -x^3 - a2 x^2 + (a1 y - a4) x + y^2 + a3 y - a6 near x0.
     """
-    curve = place.curve
-    big, emb = place.big, place.emb
-    e = emb if emb else (lambda c: c)
+    E, big, emb = place.curve, place.big, place.emb
+    neg = E.field.neg
     x0, y0 = place.representative
     if place.unramified_over_x:
         x_s = LaurentSeries(big, 0, [x0, 1], prec)
-        y_s = _newton_y_series(curve, big, emb, x_s, y0, prec)
-        return x_s, y_s
-    # ramified over x: parameter t = y - y0, solve for x by Newton
-    a1, a2, a4 = e(curve.a1), e(curve.a2), e(curve.a4)
+        polys = ((-E.poly_B()).coeffs, E.poly_A().coeffs, (1,))
+        coeffs = [eval_poly_at_series(c, x_s, emb) for c in polys]
+        return x_s, _newton_root(coeffs, LaurentSeries.const(big, y0, 1), prec)
     y_s = LaurentSeries(big, 0, [y0, 1], prec)
-    # dG/dx = a1*y - (3x^2 + 2*a2*x + a4)
-    dgx0 = big.sub(
-        big.mul(a1, y0),
-        big.add(
-            big.mul(big.from_int(3), big.mul(x0, x0)),
-            big.add(big.mul(big.from_int(2), big.mul(a2, x0)), a4),
-        ),
-    )
-    if dgx0 == 0:
-        raise ArithmeticError("singular point on a smooth model")
-    A = curve.poly_A().map_field(emb) if emb else curve.poly_A()
-    B = curve.poly_B().map_field(emb) if emb else curve.poly_B()
-    dA = A.derivative()
-    dB = B.derivative()
-    x_s = LaurentSeries.const(big, x0, 1)
-    known = 1
-    while known < prec:
-        known = min(2 * known, prec)
-        x_s = LaurentSeries(big, x_s.val, x_s.coeffs, known)
-        yk = y_s.truncate(known)
-        As = eval_poly_at_series(A.coeffs, x_s)
-        Bs = eval_poly_at_series(B.coeffs, x_s)
-        g = yk * yk + As * yk - Bs
-        dAs = eval_poly_at_series(dA.coeffs, x_s)
-        dBs = eval_poly_at_series(dB.coeffs, x_s)
-        gx = dAs * yk - dBs
-        x_s = (x_s - g * gx.inverse()).truncate(known)
-    return x_s, y_s
+    polys = ((neg(E.a6), E.a3, 1), (neg(E.a4), E.a1), (neg(E.a2),), (neg(1),))
+    coeffs = [eval_poly_at_series(c, y_s, emb) for c in polys]
+    return _newton_root(coeffs, LaurentSeries.const(big, x0, 1), prec), y_s
 
 
 class EllipticFunction:
@@ -542,10 +514,23 @@ class EllipticFunction:
 
     def leading_term_at(self, place) -> tuple:
         """(v, a): the valuation at the place and the leading coefficient of
-        the expansion there, from one expansion whose precision doubles
-        until it is nonzero.  Raises ValueError for the zero function."""
+        the expansion `laurent_at` gives.  At the origin no series is
+        needed: x and y lead with t^-2 and t^-3, so u has the even valuation
+        -2 deg u and v*y the odd one -2 deg v - 3; the two never cancel, and
+        the one with the smaller valuation leads with the leading
+        coefficient of its numerator (denominators are monic).  At an affine
+        place the expansion's precision doubles until it is nonzero.  Raises
+        ValueError for the zero function."""
         if self.is_zero():
             raise ValueError("the zero function has no valuation")
+        if isinstance(place, OriginPlace):
+            if place.curve != self.curve:
+                raise ValueError("place belongs to a different curve")
+            return min(
+                (2 * (f.den.degree - f.num.degree) - 3 * k, f.num.leading())
+                for k, f in enumerate((self.u, self.v))
+                if not f.is_zero()
+            )
         prec = 16
         while prec <= MAX_SERIES_PREC:
             s = self.laurent_at(place, prec)

@@ -79,21 +79,16 @@ class GaloisRing:
     # -- Teichmuller lifts and Witt digits
 
     def teichmuller(self, a: int):
-        """The unique lift of field element a fixed by x -> x^(p^m)."""
+        """The unique lift of field element a fixed by x -> x^(p^m).
+
+        Any lift y of a is [a] (1 + p z), and [a]^q = [a] while
+        (1 + p z)^(p^(l-1)) = 1, so y^(q^(l-1)) = [a] for q = p^m; when
+        a = 0, y = p z and q^(l-1) >= l makes that power 0."""
         t = self._teich_cache.get(a)
-        if t is not None:
-            return t
-        x = self.element(self.residue_field.coeffs(a))
-        q = self.residue_field.q
-        for _ in range(2 * self.l):
-            nxt = self.pow(x, q)
-            if nxt == x:
-                break
-            x = nxt
-        else:
-            raise RuntimeError("Teichmuller iteration did not stabilize")  # pragma: no cover
-        self._teich_cache[a] = x
-        return x
+        if t is None:
+            y = self.element(self.residue_field.coeffs(a))
+            t = self._teich_cache[a] = self.pow(y, self.residue_field.q ** (self.l - 1))
+        return t
 
     def teichmuller_set(self):
         """All p^m fixed points of x -> x^(p^m), ordered by field code."""

@@ -19,6 +19,7 @@ from wittsums import (
     get_field,
     places_up_to_degree,
 )
+from wittsums.elliptic import _affine_xy_series, _origin_xy_series
 from wittsums.poly import factor, irreducibles_of_degree
 from wittsums.series import eval_poly_at_series
 
@@ -189,26 +190,6 @@ def test_elliptic_valuations_at_origin():
     assert s.valuation() == -2 and s.leading() == 1
 
 
-def test_elliptic_curve_relation_in_series():
-    # the Weierstrass relation vanishes identically in local expansions
-    F3 = get_field(3, 1)
-    E3 = EllipticCurve(F3, 0, 1, 0, 0, 1)  # y^2 = x^3 + x^2 + 1 (ordinary)
-    for E in [curve_f2(), E3]:
-        F = E.field
-        places = [OriginPlace(E)] + E.places_up_to_degree(1)[1:3]
-        x = EllipticFunction.x(E)
-        y = EllipticFunction.y(E)
-        a1 = EllipticFunction.const(E, E.a1)
-        a2 = EllipticFunction.const(E, E.a2)
-        a3 = EllipticFunction.const(E, E.a3)
-        a4 = EllipticFunction.const(E, E.a4)
-        a6 = EllipticFunction.const(E, E.a6)
-        rel = (
-            y * y + a1 * x * y + a3 * y - (x * x * x + a2 * x * x + a4 * x + a6)
-        )
-        assert rel.is_zero()
-
-
 def test_elliptic_pole_divisors():
     E = curve_f2()
     x = EllipticFunction.x(E)
@@ -298,3 +279,41 @@ def test_witness_needs_a_rational_place():
     assert place.degree == 2
     with pytest.raises(ValueError):
         witness(ring, place, 1)
+
+
+# the elliptic curves above, one over F_4 and one over F_5
+RELATION_CURVES = [(p, m, c) for p, m, c in ADAPTER_RINGS if c is not None] + [
+    (2, 2, (1, 3, 0, 0, 2)),  # y^2 + xy = x^3 + (w + 1) x^2 + w, F_4 = F_2(w)
+    (5, 1, (0, 0, 0, 1, 1)),  # y^2 = x^3 + x + 1
+]
+
+
+def test_elliptic_curve_relation_in_series():
+    # the Weierstrass relation vanishes identically in the function field,
+    # and the local expansions (x_s, y_s) satisfy it to their precision at
+    # the origin and at every place of degree <= 2, ramified places over
+    # the x-line among them
+    ramified = 0
+    for p, m, coeffs in RELATION_CURVES:
+        E = EllipticCurve(get_field(p, m), *coeffs)
+        x = EllipticFunction.x(E)
+        y = EllipticFunction.y(E)
+        c1, c2, c3, c4, c6 = (EllipticFunction.const(E, c) for c in (E.a1, E.a2, E.a3, E.a4, E.a6))
+        rel = y * y + c1 * x * y + c3 * y - (x * x * x + c2 * x * x + c4 * x + c6)
+        assert rel.is_zero()
+        places = E.places_up_to_degree(2)
+        assert isinstance(places[0], OriginPlace)
+        for place in places:
+            if isinstance(place, OriginPlace):
+                big, e = E.field, (lambda c: c)
+                x_s, y_s = _origin_xy_series(E, 40)
+            else:
+                big, e = place.big, place.emb or (lambda c: c)
+                ramified += not place.unramified_over_x
+                x_s, y_s = _affine_xy_series(place, 40)
+            a1, a2, a3, a4, a6 = (e(c) for c in (E.a1, E.a2, E.a3, E.a4, E.a6))
+            rhs = eval_poly_at_series((a6, a4, a2, 1), x_s)
+            lhs = y_s * y_s + (x_s.scale(a1) + LaurentSeries.const(big, a3, 40)) * y_s
+            rel = lhs - rhs
+            assert rel.is_zero() and rel.prec >= 30, (coeffs, place)
+    assert ramified == 5

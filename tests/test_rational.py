@@ -143,3 +143,48 @@ def test_elliptic_leading_term_matches_expansion():
             v, a = f.leading_term_at(pl)
             s = f.laurent_at(pl, v + 1)
             assert (v, a) == (s.valuation(), s.leading())
+
+
+# (p, m, Weierstrass coefficients): curves over F_2, F_3, F_4 and F_5
+ORIGIN_RULE_CURVES = [
+    (2, 1, (0, 0, 1, 0, 0)),
+    (2, 1, (1, 1, 0, 0, 1)),
+    (3, 1, (0, 0, 0, 2, 1)),
+    (2, 2, (1, 3, 0, 0, 2)),
+    (5, 1, (1, 2, 3, 4, 1)),
+]
+
+
+@pytest.mark.parametrize("p, m, coeffs", ORIGIN_RULE_CURVES)
+def test_elliptic_origin_leading_term_matches_expansion(p, m, coeffs, monkeypatch):
+    # the origin's rule reads degrees and leading coefficients; the
+    # expansion it replaces must agree on u + v*y with polynomial and
+    # rational u, v, either of them possibly zero
+    F = get_field(p, m)
+    E = EllipticCurve(F, *coeffs)
+    O = OriginPlace(E)
+    rng = random.Random(f"origin:{p}:{m}:{coeffs}")
+
+    def part():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return RationalFunction.zero(F)
+        num = RationalFunction.from_poly(random_poly(F, rng, rng.randint(0, 4)))
+        if kind == 1:
+            return num
+        return num / RationalFunction.from_poly(random_poly(F, rng, rng.randint(1, 4)))
+
+    cases = []
+    while len(cases) < 40:
+        f = EllipticFunction(E, part(), part())
+        if f.is_zero():
+            continue
+        s = f.laurent_at(O, 16)  # every valuation here is below 12
+        cases.append((f, (s.valuation(), s.leading())))
+    calls = []
+    monkeypatch.setattr(EllipticFunction, "laurent_at", lambda *a: calls.append(a))
+    for f, want in cases:
+        assert f.leading_term_at(O) == want
+        assert f.valuation_at(O) == want[0]
+    assert calls == []
+    assert {v % 2 for _, (v, _) in cases} == {0, 1}
