@@ -523,8 +523,9 @@ class SweepResult(Sequence):
     s2: np.ndarray | None = None
     b2: np.ndarray | None = None
 
-    def instances(self) -> list[str]:
-        cols = [np.asarray(c).tolist() for c in self.label_columns]
+    def instances(self, rows=slice(None)) -> list[str]:
+        """The names of the instances in a row slice, by default all."""
+        cols = [np.asarray(c[rows]).tolist() for c in self.label_columns]
         return list(map(self.label.__mod__, zip(*cols)))
 
     @property

@@ -6,7 +6,9 @@ JSON (or CSV for `verify` sweeps), optionally written to a file with --out.
 Exit codes: 0 success (and, for `verify`, zero violations), 1 verification
 violations found, 2 usage or parse error, 3 enumeration cap exceeded,
 4 mathematical precondition violated, 5 out of memory or an unexpected
-internal error (one `error:` line on stderr, never a traceback).
+internal error (one `error:` line on stderr, never a traceback).  A
+`verify` document is written as it is built, so after exit 5 the output
+may be truncated; only exit 0 or 1 means it is complete.
 """
 
 from __future__ import annotations
@@ -58,25 +60,22 @@ EXIT_MATH = 4
 EXIT_INTERNAL = 5
 
 
-def _write(args, text: str):
-    """Write text to --out, or to stdout."""
+def _write(args, pieces):
+    """Write the text pieces, one at a time, to --out or to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit(args, payload):
     """Write the JSON payload with a trailing newline, deterministically."""
-    _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(args, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
-# one report of `verify`, as json.dumps(..., sort_keys=True, indent=2) writes it
-_REPORT = (
-    '    {\n      "abs": %s,\n      "bound": %s,\n      "instance": %s,\n'
-    '      "passed": %s,\n      "ratio": %s\n    }'
-)
+# rows of a `verify` report per piece the writers yield
+_CHUNK = 16384
 
 
 def _spelled(column, spell) -> list[str]:
@@ -87,10 +86,31 @@ def _spelled(column, spell) -> list[str]:
     return np.array(words, dtype=object)[inverse].tolist()
 
 
-def _sweep_json(family: str, result) -> str:
-    """The `verify` payload, byte for byte as json.dumps(payload,
-    sort_keys=True, indent=2) + newline writes it: the header through
-    json, the reports from the result's columns through `_REPORT`."""
+def _chunks(result):
+    """The row slices of the result, _CHUNK rows each."""
+    return (slice(i, i + _CHUNK) for i in range(0, len(result), _CHUNK))
+
+
+def _json_label_columns(result, rows) -> list[list]:
+    """The label columns of the rows, each value as the row template
+    substitutes it: integers as they are, strings JSON-escaped without
+    their quotes."""
+    cols = []
+    for column in result.label_columns:
+        values = np.asarray(column[rows])
+        if values.dtype.kind in "biu":
+            cols.append(values.tolist())
+        else:
+            cols.append([encode_basestring_ascii(v)[1:-1] for v in values.tolist()])
+    return cols
+
+
+def _sweep_json(family: str, result):
+    """The `verify` payload in pieces of _CHUNK reports, byte for byte as
+    json.dumps(payload, sort_keys=True, indent=2) + newline writes it: the
+    header through json, each report one `%` of a row template that holds
+    the instance label, escaped once (JSON escapes character by
+    character)."""
     payload = {
         "family": family,
         "instances": len(result),
@@ -101,26 +121,41 @@ def _sweep_json(family: str, result) -> str:
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if not len(result):
-        return text
-    rows = zip(
-        _spelled(result.measured, json.dumps),
-        _spelled(result.bound, json.dumps),
-        map(encode_basestring_ascii, result.instances()),
-        np.where(result.passed, "true", "false").tolist(),
-        _spelled(result.ratio, json.dumps),
+        yield text
+        return
+    head, _, tail = text.partition('"reports": []')
+    row = (
+        '    {\n      "abs": %s,\n      "bound": %s,\n      "instance": '
+        + encode_basestring_ascii(result.label)
+        + ',\n      "passed": %s,\n      "ratio": %s\n    }'
     )
-    reports = ",\n".join(map(_REPORT.__mod__, rows))
-    return text.replace('"reports": []', '"reports": [\n' + reports + "\n  ]", 1)
+    yield head + '"reports": [\n'
+    sep = ""
+    for rows in _chunks(result):
+        cols = (
+            _spelled(result.measured[rows], json.dumps),
+            _spelled(result.bound[rows], json.dumps),
+            *_json_label_columns(result, rows),
+            np.where(result.passed[rows], "true", "false").tolist(),
+            _spelled(result.ratio[rows], json.dumps),
+        )
+        yield sep + ",\n".join(map(row.__mod__, zip(*cols)))
+        sep = ",\n"
+    yield "\n  ]" + tail
 
 
-def _sweep_csv(result) -> str:
-    """The `verify` rows as CSV, floats spelled by repr."""
+def _sweep_csv(result):
+    """The `verify` rows as CSV in pieces of _CHUNK rows, floats spelled
+    by repr."""
+    yield "instance,abs,bound,ratio\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["instance", "abs", "bound", "ratio"])
-    floats = [_spelled(c, repr) for c in (result.measured, result.bound, result.ratio)]
-    writer.writerows(zip(result.instances(), *floats))
-    return buf.getvalue()
+    for rows in _chunks(result):
+        floats = [_spelled(c[rows], repr) for c in (result.measured, result.bound, result.ratio)]
+        writer.writerows(zip(result.instances(rows), *floats))
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
 
 
 def _build_witt_function(args, p, l, m):

@@ -12,6 +12,8 @@ into their ring or field.
 from __future__ import annotations
 
 import ast
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -144,45 +146,82 @@ def parse_field_vector(text: str, field: FiniteField) -> list[int]:
     return out
 
 
-def _dense_in_first_variable(a: dict, b: dict) -> bool:
-    """Whether a and b are polynomials in the first variable alone (T, or x
-    of a curve) with enough terms that a product on coefficient arrays,
-    (deg a + 1)(deg b + 1) steps in numpy, beats one on dicts,
-    len(a) len(b) steps in Python."""
-    if not a or not b or any(e[1] for e in a) or any(e[1] for e in b):
-        return False
-    da, db = max(a)[0], max(b)[0]
-    return (da + 1) * (db + 1) <= 64 * len(a) * len(b)
+def _array_plan(nu: int, du: int, nv: int, dv: int) -> tuple[int, bool]:
+    """(steps, shifted) of u * v on coefficient arrays, u and v of degrees
+    du and dv with nu >= nv nonzero entries.  A convolution takes
+    (du + 1)(dv + 1) multiply-adds; adding u times each nonzero entry of v
+    at its exponent (`shifted`) takes about 3 of those per entry of u, plus
+    3000 for the call, plus one per entry of the product.  Either count is
+    at least the length of each array, so no array is built past the
+    budget its caller sets."""
+    convolve = (du + 1) * (dv + 1)
+    shift = nv * (3 * (du + 1) + 3000) + du + dv + 1
+    return min(convolve, shift), shift < convolve
 
 
-def _array_product(a: dict, b: dict, mod: int) -> dict:
-    """a * b mod `mod` for polynomials in the first variable alone, as a
-    convolution of coefficient arrays.  A coefficient of the product sums
-    at most min(len(a), len(b)) products of reduced coefficients, so int64
-    holds it exactly while that count times (mod - 1)^2 is below 2^63;
-    past that the arrays hold Python ints."""
-    exact = min(len(a), len(b)) * (mod - 1) ** 2 < 2**63
-    arrays = []
-    for terms in (a, b):
-        v = np.zeros(max(terms)[0] + 1, dtype=np.int64 if exact else object)
-        for (k, _), c in terms.items():
-            v[k] = c
-        arrays.append(v)
-    prod = np.convolve(*arrays) % mod
-    return {(int(k), 0): int(prod[k]) for k in np.flatnonzero(prod)}
+def _array_product(u: np.ndarray, v: np.ndarray, mod: int, shifted: bool) -> np.ndarray:
+    """u * v mod `mod` for coefficient arrays reduced mod `mod`: u times
+    each nonzero entry of v added at its exponent when `shifted`, else a
+    convolution; trailing zeros are cut.  A coefficient of the product sums
+    at most n products of reduced coefficients, n the fewer nonzero entries
+    of the two, so int64 holds it exactly while n (mod - 1)^2 is below
+    2^63; past that the arrays hold Python ints."""
+    n = int(min(np.count_nonzero(u), np.count_nonzero(v)))
+    dtype = np.int64 if n * (mod - 1) ** 2 < 2**63 else object
+    u, v = u.astype(dtype, copy=False), v.astype(dtype, copy=False)
+    if shifted:
+        out = np.zeros(len(u) + len(v) - 1, dtype=dtype)
+        for k in np.flatnonzero(v).tolist():
+            out[k:k + len(u)] += v[k] * u
+    else:
+        out = np.convolve(u, v)
+    out %= mod
+    return np.trim_zeros(out, "b")
 
 
 class _IntPoly:
-    """Integer polynomial in x, y (a dict from (deg_x, deg_y) to an int),
-    reduced mod `mod` after every operation, for reading curve equations
-    and, with T in place of x, polynomials over a Galois ring.  A power of
-    degree past `max_deg` is refused before it is taken."""
+    """Integer polynomial in x, y, reduced mod `mod` after every operation,
+    for reading curve equations and, with T in place of x, polynomials over
+    a Galois ring.  Its terms are a dict from (deg_x, deg_y) to an int.  A
+    product in the first variable alone that numpy forms is kept as its
+    coefficient array, and the dict is built when the terms are read, so a
+    power such as (T+1)^65535 builds one dict, not one per step.  A power
+    of degree past `max_deg` is refused before it is taken."""
 
-    __slots__ = ("terms", "mod", "max_deg")
+    __slots__ = ("_terms", "_coeffs", "mod", "max_deg")
 
-    def __init__(self, terms: dict, mod: int, max_deg: float = float("inf")):
-        self.terms = {e: c % mod for e, c in terms.items() if c % mod}
+    def __init__(self, terms, mod: int, max_deg: float = float("inf")):
+        """terms: a dict, or a coefficient array in the first variable
+        alone, reduced mod `mod` and without trailing zeros."""
+        if isinstance(terms, np.ndarray):
+            self._terms, self._coeffs = None, terms
+        else:
+            self._terms, self._coeffs = {e: c % mod for e, c in terms.items() if c % mod}, None
         self.mod, self.max_deg = mod, max_deg
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            nonzero = np.flatnonzero(self._coeffs)
+            self._terms = dict(zip(zip(nonzero.tolist(), repeat(0)), self._coeffs[nonzero].tolist()))
+        return self._terms
+
+    def _size(self):
+        """(nonzero terms, degree) when the polynomial is nonzero and in
+        the first variable alone, else None."""
+        if self._coeffs is not None:
+            return int(np.count_nonzero(self._coeffs)), len(self._coeffs) - 1
+        t = self._terms
+        if t and not any(map(itemgetter(1), t)):
+            return len(t), max(t)[0]
+        return None
+
+    def _array(self) -> np.ndarray:
+        if self._coeffs is None:
+            t = self._terms
+            self._coeffs = np.zeros(max(t)[0] + 1, dtype=np.int64 if self.mod <= 2**63 else object)
+            self._coeffs[[k for k, _ in t]] = list(t.values())
+        return self._coeffs
 
     def __add__(self, other):
         return _IntPoly(_padd(self.terms, other.terms), self.mod, self.max_deg)
@@ -194,10 +233,18 @@ class _IntPoly:
         return _IntPoly(_padd({}, self.terms, -1), self.mod, self.max_deg)
 
     def __mul__(self, other):
-        a, b = self.terms, other.terms
-        if _dense_in_first_variable(a, b):
-            return _IntPoly(_array_product(a, b, self.mod), self.mod, self.max_deg)
-        return _IntPoly(_pmul(a, b), self.mod, self.max_deg)
+        """On coefficient arrays when both factors are in the first
+        variable alone and that takes fewer steps than the dict product,
+        one Python step per pair of terms, each weighed as 64 numpy steps."""
+        a, b = self._size(), other._size()
+        if a and b:
+            u, v = (self, other) if a >= b else (other, self)
+            (nu, du), (nv, dv) = max(a, b), min(a, b)
+            steps, shifted = _array_plan(nu, du, nv, dv)
+            if steps <= 64 * nu * nv:
+                product = _array_product(u._array(), v._array(), self.mod, shifted)
+                return _IntPoly(product if len(product) else {}, self.mod, self.max_deg)
+        return _IntPoly(_pmul(self.terms, other.terms), self.mod, self.max_deg)
 
     def __pow__(self, n):
         if n < 0:

@@ -1,7 +1,11 @@
 """Command-line interface: grammars, output schemas, and exit codes."""
 
+import csv
+import dataclasses
+import io
 import json
 import math
+import re
 
 import pytest
 
@@ -185,19 +189,96 @@ def _dumps_reports(family, result):
 )
 def test_sweep_writer_matches_json_dumps(family, params):
     result = verify_sweep(family, **params)
-    assert _sweep_json(family, result) == _dumps_reports(family, result)
+    assert "".join(_sweep_json(family, result)) == _dumps_reports(family, result)
 
 
 def test_sweep_writer_infinite_ratio_and_escapes():
     result = _float_sweep(['a"b\\c', "d\u00e9\n", "e"], [1.5, 0.0, -0.0], [0.0, 0.0, 2.0])
     assert result.ratio[0] == float("inf")
-    text = _sweep_json("thm31-p1", result)
+    text = "".join(_sweep_json("thm31-p1", result))
     assert text == _dumps_reports("thm31-p1", result)
     assert '"max_ratio": Infinity' in text and '"ratio": Infinity' in text
     assert '"abs": -0.0' in text
-    lines = _sweep_csv(result).splitlines()
+    lines = "".join(_sweep_csv(result)).splitlines()
     assert lines[0] == "instance,abs,bound,ratio"
     assert lines[1] == '"a""b\\c",1.5,0.0,inf'
+
+
+def _csv_rows(result):
+    """The `verify` CSV row by row, header first: csv.writer over the
+    result's reports, floats spelled by repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    rows = []
+    for row in [("instance", "abs", "bound", "ratio")] + [
+        (r.instance, repr(r.measured), repr(r.bound), repr(r.ratio)) for r in result
+    ]:
+        writer.writerow(row)
+        rows.append(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+    return rows
+
+
+def _json_rows(text):
+    """The `verify` JSON cut into the text up to the reports' open
+    bracket, each report, and the text after the last one."""
+    head, bracket, rest = text.partition('"reports": [\n')
+    if not bracket:
+        return [text]
+    body, _, tail = rest.rpartition("\n  ]")
+    return [head + bracket, *re.split(r",\n(?=    \{)", body), "\n  ]" + tail]
+
+
+_CHUNKED_SWEEPS = {
+    "kumar-221-21": lambda: ("kumar", verify_sweep("kumar", p=2, l=2, m=1, deg0=2, deg1=1)),
+    "kumar-222-12": lambda: ("kumar", verify_sweep("kumar", p=2, l=2, m=2, deg0=1, deg1=2)),
+    "kumar-321-21": lambda: ("kumar", verify_sweep("kumar", p=3, l=2, m=1, deg0=2, deg1=1)),
+    "thm31-p1": lambda: ("thm31-p1", verify_sweep("thm31-p1", p=2, l=2, m=1, max_a=3, max_b=2, d=1)),
+    "empty": lambda: ("empty", verify_sweep("empty")),
+    "escapes": lambda: ("thm31-p1", _float_sweep(
+        ['a"b\\c', "d\u00e9\n", "e"], [1.5, 0.0, -0.0], [0.0, 0.0, 2.0])),
+    # a literal %% in the label, around integer and string columns
+    "percent-int": lambda: ("kumar", dataclasses.replace(
+        verify_sweep("kumar", p=2, l=2, m=1, deg0=2, deg1=1), label='%%"%d_%d%%_%d\\%%')),
+    "percent-str": lambda: ("thm31-p1", dataclasses.replace(
+        _float_sweep(["a%b", "%%", "%s", '"'], [1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 2.0, 2.0]),
+        label="100%%_%s")),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@pytest.mark.parametrize("name", list(_CHUNKED_SWEEPS))
+def test_sweep_writers_in_chunks(monkeypatch, name, chunk):
+    """At every chunk size the pieces join to the documents csv and
+    json.dumps write, and no piece is longer than `chunk` rows and their
+    separators, so neither writer builds the whole document."""
+    family, result = _CHUNKED_SWEEPS[name]()
+    monkeypatch.setattr(wittsums.cli, "_CHUNK", chunk)
+    want = _dumps_reports(family, result)
+    pieces = list(_sweep_json(family, result))
+    assert "".join(pieces) == want
+    longest = max(map(len, _json_rows(want)))
+    assert max(map(len, pieces)) <= chunk * (longest + 2)
+    rows = _csv_rows(result)
+    pieces = list(_sweep_csv(result))
+    assert "".join(pieces) == "".join(rows)
+    assert max(map(len, pieces)) <= chunk * (max(map(len, rows)) + 2)
+
+
+def test_verify_failure_while_writing_exit5(capsys, monkeypatch):
+    """A writer that fails after its first piece: exit 5 with one
+    `error:` line and no traceback; the output holds the truncated
+    document."""
+    def failing(family, result):
+        yield "{\n"
+        raise MemoryError
+
+    monkeypatch.setattr(wittsums.cli, "_sweep_json", failing)
+    code = main(["verify", "empty"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == "{\n"
+    assert captured.err.splitlines() == ["error: out of memory"]
 
 
 @pytest.mark.parametrize("exc", [MemoryError, RuntimeError])
