@@ -146,35 +146,19 @@ def parse_field_vector(text: str, field: FiniteField) -> list[int]:
     return out
 
 
-def _array_plan(nu: int, du: int, nv: int, dv: int) -> tuple[int, bool]:
-    """(steps, shifted) of u * v on coefficient arrays, u and v of degrees
-    du and dv with nu >= nv nonzero entries.  A convolution takes
-    (du + 1)(dv + 1) multiply-adds; adding u times each nonzero entry of v
-    at its exponent (`shifted`) takes about 3 of those per entry of u, plus
-    3000 for the call, plus one per entry of the product.  Either count is
-    at least the length of each array, so no array is built past the
-    budget its caller sets."""
-    convolve = (du + 1) * (dv + 1)
-    shift = nv * (3 * (du + 1) + 3000) + du + dv + 1
-    return min(convolve, shift), shift < convolve
-
-
-def _array_product(u: np.ndarray, v: np.ndarray, mod: int, shifted: bool) -> np.ndarray:
-    """u * v mod `mod` for coefficient arrays reduced mod `mod`: u times
-    each nonzero entry of v added at its exponent when `shifted`, else a
-    convolution; trailing zeros are cut.  A coefficient of the product sums
-    at most n products of reduced coefficients, n the fewer nonzero entries
-    of the two, so int64 holds it exactly while n (mod - 1)^2 is below
-    2^63; past that the arrays hold Python ints."""
-    n = int(min(np.count_nonzero(u), np.count_nonzero(v)))
-    dtype = np.int64 if n * (mod - 1) ** 2 < 2**63 else object
-    u, v = u.astype(dtype, copy=False), v.astype(dtype, copy=False)
-    if shifted:
-        out = np.zeros(len(u) + len(v) - 1, dtype=dtype)
-        for k in np.flatnonzero(v).tolist():
-            out[k:k + len(u)] += v[k] * u
-    else:
-        out = np.convolve(u, v)
+def _array_product(u: np.ndarray, v: np.ndarray, mod: int) -> np.ndarray:
+    """u * v mod `mod` for coefficient arrays reduced mod `mod`, of either
+    dtype: u times each nonzero entry of v, added at its exponent, with
+    trailing zeros cut.  A coefficient of the product sums at most n
+    products of reduced coefficients, n the nonzero entries of v, so int64
+    holds it exactly while n (mod - 1)^2 is below 2^63; past that the
+    arrays hold Python ints."""
+    exponents = np.flatnonzero(v)
+    dtype = np.int64 if len(exponents) * (mod - 1) ** 2 < 2**63 else object
+    u = u.astype(dtype, copy=False)
+    out = np.zeros(len(u) + len(v) - 1, dtype=dtype)
+    for k, c in zip(exponents.tolist(), v[exponents].tolist()):
+        out[k:k + len(u)] += c * u
     out %= mod
     return np.trim_zeros(out, "b")
 
@@ -217,9 +201,11 @@ class _IntPoly:
         return None
 
     def _array(self) -> np.ndarray:
+        """The coefficient array; built from the dict in Python ints, since
+        `_array_product` picks the dtype of a product."""
         if self._coeffs is None:
             t = self._terms
-            self._coeffs = np.zeros(max(t)[0] + 1, dtype=np.int64 if self.mod <= 2**63 else object)
+            self._coeffs = np.zeros(max(t)[0] + 1, dtype=object)
             self._coeffs[[k for k, _ in t]] = list(t.values())
         return self._coeffs
 
@@ -234,15 +220,16 @@ class _IntPoly:
 
     def __mul__(self, other):
         """On coefficient arrays when both factors are in the first
-        variable alone and that takes fewer steps than the dict product,
-        one Python step per pair of terms, each weighed as 64 numpy steps."""
+        variable alone and the shifted adds, (deg u + 1) steps per term of
+        the factor v of fewer terms plus one per entry of the product, take
+        fewer numpy steps than 64 times the Python steps of the dict
+        product, one per pair of terms.  No array is built past that."""
         a, b = self._size(), other._size()
         if a and b:
             u, v = (self, other) if a >= b else (other, self)
             (nu, du), (nv, dv) = max(a, b), min(a, b)
-            steps, shifted = _array_plan(nu, du, nv, dv)
-            if steps <= 64 * nu * nv:
-                product = _array_product(u._array(), v._array(), self.mod, shifted)
+            if nv * (du + 1) + du + dv + 1 <= 64 * nu * nv:
+                product = _array_product(u._array(), v._array(), self.mod)
                 return _IntPoly(product if len(product) else {}, self.mod, self.max_deg)
         return _IntPoly(_pmul(self.terms, other.terms), self.mod, self.max_deg)
 
