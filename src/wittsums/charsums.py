@@ -26,11 +26,12 @@ point, from one local Artin reduction each.
 The Kumar sweep uses the same trace table: at a Teichmuller point x the
 exponent of f = sum [a_k] T^k + p sum [b_k] T^k is a sum of table lookups,
 one per coefficient, so the exponents of every instance at x are one
-broadcast sum of lookup rows.  It keeps exact exponent counts per instance
-and decides |S|^2 <= B^2 from them: as integers when p^l = 4, and otherwise
-by floats with a rigorous margin and an exact test in Z[zeta] inside it.
-Sweeps return a columnar `SweepResult` (one array per field) that reads
-as a sequence of `BoundReport` rows, built on access.
+broadcast sum of lookup rows.  Every sweep (Kumar, Theorem 3.1 on P^1,
+empty) is decided by one exact verdict, `_verdicts`, from integer weights
+of the powers of zeta in each sum (Kumar's exponent counts, the exact
+coefficients of a Theorem 3.1 sum) and the integer B^2.  Sweeps return a
+columnar `SweepResult` (one array per field) that reads as a sequence of
+`BoundReport` rows, built on access.
 """
 
 from __future__ import annotations
@@ -255,6 +256,7 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None) -> CharS
     over F_{q^k}.  A twist off Z/p^l does not kill P-shifts, so a pole
     removed there raises ValueError.
     """
+    _check_degree(d)
     ring = fvec.ring
     F = ring.field
     p, l = fvec.params.p, fvec.params.l
@@ -402,14 +404,23 @@ def bound_kumar(p: int, l: int, m: int, degrees) -> float:
     return (max(weighted) - 1) * p ** (m / 2)
 
 
+def _check_degree(d: int):
+    if d < 1:
+        raise ValueError(f"the extension degree d must be >= 1, got {d}")
+
+
+def _thm31_coefficient(fvec: WittVector, cond) -> int:
+    """The integer c of the Theorem 3.1 bound c p^(m d / 2)."""
+    return 2 * (fvec.ring.genus - 1) + cond.degree
+
+
 def bound_thm31(fvec: WittVector, d: int = 1) -> float:
     """(2(g-1) + conductor degree) * p^(m d / 2), g the genus of the base
     curve."""
+    _check_degree(d)
     if not is_nondegenerate(fvec):
         raise DegenerateInputError("the first coordinate lies in k + P(K)")
-    F = fvec.ring.field
-    cond = conductor(fvec)
-    return (2 * (fvec.ring.genus - 1) + cond.degree) * fvec.params.p ** (F.m * d / 2)
+    return _thm31_coefficient(fvec, conductor(fvec)) * fvec.params.p ** (fvec.ring.field.m * d / 2)
 
 
 @dataclass
@@ -504,10 +515,10 @@ class SweepResult(Sequence):
 
     Instance i is named `label % (column[i] for column in label_columns)`.
     `measured` is |S| (the JSON's "abs").  The object is also a read-only
-    sequence of BoundReport rows, each built when it is read.  The Kumar
-    sweep fills the exact columns: grid index, digit degrees, exponent
-    counts (counts[t, i] points of instance i have exponent t), |S|^2 and
-    B^2; other families leave them None.
+    sequence of BoundReport rows, each built when it is read.  Sweeps fill
+    the exact |S|^2 and B^2; the Kumar sweep also fills grid index, digit
+    degrees and exponent counts (counts[t, i] points of instance i have
+    exponent t), which other families leave None.
     """
 
     label: str
@@ -556,17 +567,6 @@ class SweepResult(Sequence):
         return NotImplemented
 
 
-def _float_sweep(names, measured, bound) -> SweepResult:
-    """Columns from float |S| and bound, passing within 1e-9."""
-    measured = np.array(measured, dtype=np.float64)
-    bound = np.array(bound, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(bound != 0, measured / bound,
-                         np.where(measured <= 1e-9, 0.0, np.inf))
-    return SweepResult("%s", (list(names),), measured, bound, ratio,
-                       measured <= bound + 1e-9)
-
-
 def _kumar_counts(p: int, m: int, n0: int, n1: int):
     """counts[t, i]: the Teichmuller points x at which instance i of the
     coefficient grid has character exponent t.
@@ -603,43 +603,54 @@ def _digit_degree(q: int, n: int):
     return deg
 
 
-def _kumar_verdicts(p: int, q: int, counts, b2):
-    """|S|^2 and |S|^2 <= B^2 per instance, from exact exponent counts.
+def _verdicts(p: int, l: int, weights, c, e: int) -> dict:
+    """The columns `measured` |S|, `bound` B, `ratio` |S|/B, `passed`, `s2`
+    |S|^2 and `b2` B^2 of a sweep, for S = sum_t weights[t, i] zeta^t,
+    zeta = exp(2 pi i/p^l), and B = c[i] p^(e/2), weights and c integers.
+    |S|^2 <= B^2 is decided in integers where S lies in Z[i] (p^l = 2, 4).
 
-    At p^2 = 4, S = (n_0 - n_2) + (n_1 - n_3) i lies in Z[i] and the
-    comparison is between integers.  Otherwise |S|^2 is summed in floats:
-    each cos/sin is within 32 eps, so Re S and Im S are within
-    q (p^2 + 33) eps and |S|^2 within 4 q^2 (p^2 + 34) eps, half of
-    `margin`.  An instance inside the margin is decided by the exact test
-    S conj(S) = B^2 in Z[zeta].
+    Otherwise |S|^2 is summed in floats.  Let n = p^l, W = sum_t |w_t| and
+    u = eps/2.  The angle 2 pi t/n carries three roundings, an error below
+    2 pi 3u < 10u, and cos and sin add a few ulp, so each is within 32 eps.
+    The product with w_t rounds once more and a sum of at most n products
+    adds (n - 1)u times their magnitudes, so Re S and Im S are each within
+    a = W (32 + n) eps.  Then |Re^2 + Im^2 - |S|^2| <= 2a(2W + a) from the
+    inputs, plus 3u (W + 2a)^2 from two squares and a sum: below
+    4 W^2 (n + 34) eps, half of `margin`, outside which the float
+    comparison has the sign of the exact one.  Inside it the exact test
+    S conj(S) = B^2 in Z[zeta] (S = 0 when B = 0) decides; if it fails,
+    |S|^2 - B^2 is a nonzero algebraic number too small for double
+    precision to tell its sign, and ArithmeticError is raised.
     """
-    if p == 2:
-        re = counts[0].astype(np.int64) - counts[2]
-        im = counts[1].astype(np.int64) - counts[3]
+    n = p**l
+    c = np.asarray(c, dtype=np.int64)
+    b2 = c * c * p**e
+    near = ()
+    if n <= 4:  # zeta^t = i^k, k = 4t/n: Re S and Im S are integers
+        by_k = {4 * t // n: row for t, row in enumerate(weights)}
+        re = by_k[0].astype(np.int64) - by_k.get(2, 0)
+        im = by_k[1].astype(np.int64) - by_k.get(3, 0) if 1 in by_k else 0
         s2 = re * re + im * im
-        return s2, s2 <= b2
-    pl_mod = p**2
-    re = np.zeros(counts.shape[1])
-    im = np.zeros(counts.shape[1])
-    for t in range(pl_mod):
-        re += np.cos(2 * np.pi * t / pl_mod) * counts[t]
-        im += np.sin(2 * np.pi * t / pl_mod) * counts[t]
-    s2 = re * re + im * im
-    margin = 8 * q * q * (pl_mod + 34) * np.finfo(np.float64).eps
+        del re, im  # not kept beside the columns
+    else:
+        re, im, norm = np.zeros((3, weights.shape[1]))
+        for t, row in enumerate(weights):
+            re += np.cos(2 * np.pi * t / n) * row
+            im += np.sin(2 * np.pi * t / n) * row
+            norm += np.abs(row)
+        s2 = re * re + im * im
+        margin = norm * norm * (8 * (n + 34) * np.finfo(np.float64).eps)
+        near = np.flatnonzero(np.abs(s2 - b2) <= margin)
     passed = s2 <= b2
-    for i in np.flatnonzero(np.abs(s2 - b2) <= margin):
-        S = CyclotomicInteger._reduce(p, 2, counts[:, i].tolist())
-        if b2[i] == 0:
-            exact = S.is_zero()
-        else:
-            exact = S * S.conjugate_power(pl_mod - 1) == CyclotomicInteger.from_int(p, 2, int(b2[i]))
-        if not exact:
-            # a nonzero algebraic integer this small: double precision
-            # cannot tell its sign
-            raise ArithmeticError(
-                f"|S|^2 of instance {i} is within {margin:.1e} of B^2 but not equal")
+    for i in near:
+        S = CyclotomicInteger._reduce(p, l, weights[:, i].tolist() + [0] * (n - len(weights)))
+        if S * S.conjugate_power(n - 1) != CyclotomicInteger.from_int(p, l, int(b2[i])):
+            raise ArithmeticError(f"|S|^2 of instance {i} is within {margin[i]:.1e} of B^2 but not equal")
         s2[i], passed[i] = b2[i], True
-    return s2, passed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(b2 > 0, np.sqrt(s2 / b2), np.where(s2 > 0, np.inf, 0.0))
+    return dict(measured=np.sqrt(s2.astype(np.float64)), bound=c * p ** (e / 2),
+                ratio=ratio, passed=passed, s2=s2, b2=b2)
 
 
 def sweep_kumar(p: int, l: int, m: int, deg0: int, deg1: int) -> SweepResult:
@@ -647,8 +658,8 @@ def sweep_kumar(p: int, l: int, m: int, deg0: int, deg1: int) -> SweepResult:
     deg f_0 <= deg0, deg f_1 <= deg1, coefficients in the Teichmuller set.
     All-constant instances are skipped (the bound is undefined there).
 
-    |S|^2 <= B^2 = (w - 1)^2 p^m, w = max(p deg f_0, deg f_1) over the
-    non-constant digits, is decided exactly (see `_kumar_verdicts`).
+    |S| <= B = (w - 1) p^(m/2), w = max(p deg f_0, deg f_1) over the
+    non-constant digits, is decided exactly (see `_verdicts`).
     """
     if l != 2:
         raise ValueError("the sweep is wired for two digits (l = 2)")
@@ -669,26 +680,19 @@ def sweep_kumar(p: int, l: int, m: int, deg0: int, deg1: int) -> SweepResult:
         )
     d0 = np.repeat(_digit_degree(q, n0), q**n1)
     d1 = np.tile(_digit_degree(q, n1), q**n0)
-    w = np.maximum(np.where(d0 > 0, p * d0, 0), np.where(d1 > 0, d1, 0))
-    index = np.flatnonzero(w > 0)  # all-constant instances have w = 0
-    d0, d1, w = d0[index], d1[index], w[index]
+    c = np.maximum(np.where(d0 > 0, p * d0, 0), np.where(d1 > 0, d1, 0))
+    c -= 1  # w - 1; all-constant instances have w = 0
+    index = np.flatnonzero(c >= 0)
+    d0, d1, c = d0[index], d1[index], c[index]
     if len(index):
         counts = _kumar_counts(p, m, n0, n1)[:, index]
     else:  # constant digits only: nothing to sum
         counts = np.zeros((p**l, 0), dtype=np.uint16)
-    b2 = (w - 1) ** 2 * q
-    s2, passed = _kumar_verdicts(p, q, counts, b2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sqrt(s2 / b2)
-    ratio = np.where(b2 > 0, ratio, np.where(s2 > 0, np.inf, 0.0))
     return SweepResult(
         label="f0deg%d_f1deg%d_%d",
         label_columns=(d0, d1, index),
-        measured=np.sqrt(s2.astype(np.float64)),
-        bound=(w.astype(np.float64) - 1.0) * p ** (m / 2),
-        ratio=ratio,
-        passed=passed,
-        index=index, deg0=d0, deg1=d1, counts=counts, s2=s2, b2=b2,
+        **_verdicts(p, l, counts, c, m),
+        index=index, deg0=d0, deg1=d1, counts=counts,
     )
 
 
@@ -696,6 +700,7 @@ def sweep_thm31_p1(p: int, l: int, m: int, max_a: int, max_b: int, d: int = 1) -
     """Conductor-bound check for fvec = (x^a, x^b, 0, ..., 0) of length l
     on P^1, or (x^a) when l = 1; an instance is named by its coordinates,
     as in `(x^2,x^1,0)_d1`."""
+    _check_degree(d)
     F = get_field(p, m)
     K = RationalFunctionField(F)
     x = RationalFunction.x(F)
@@ -706,15 +711,17 @@ def sweep_thm31_p1(p: int, l: int, m: int, max_a: int, max_b: int, d: int = 1) -
         pad = (zero,) * (l - 2)
         cases = [((x**a, x**b if b else zero) + pad, f"(x^{a},x^{b}{',0' * (l - 2)})")
                  for a in range(1, max_a + 1) for b in range(max_b + 1)]
-    names, measured, bounds = [], [], []
+    names, sums, coefficients = [], [], []
     for coords, name in cases:
         fvec = witt_function(K, coords)
         if not is_nondegenerate(fvec):
             continue
-        bounds.append(bound_thm31(fvec, d))
-        measured.append(sum_witt(fvec, d).modulus)
+        cond = conductor(fvec)
+        coefficients.append(_thm31_coefficient(fvec, cond))
+        sums.append(sum_witt(fvec, d, exclusions=cond.support).value.coeffs)
         names.append(f"{name}_d{d}")
-    return _float_sweep(names, measured, bounds)
+    weights = np.array(sums, dtype=np.int64).reshape(-1, p ** (l - 1) * (p - 1)).T
+    return SweepResult("%s", (names,), **_verdicts(p, l, weights, coefficients, m * d))
 
 
 def verify_sweep(family: str, **params) -> SweepResult:
@@ -724,5 +731,5 @@ def verify_sweep(family: str, **params) -> SweepResult:
     if family == "thm31-p1":
         return sweep_thm31_p1(**params)
     if family == "empty":
-        return _float_sweep([], [], [])
+        return SweepResult("%s", ([],), **_verdicts(2, 1, np.zeros((1, 0), dtype=np.int64), [], 0))
     raise ValueError(f"unknown sweep family {family!r}")

@@ -46,7 +46,7 @@ from .parsing import (
     parse_field_vector,
     parse_gr_polynomial,
     parse_rational_vector,
-    parse_ring_triple,
+    parse_ints,
 )
 from .rational import EnumerationCapError, RationalFunctionField
 from .series import PrecisionError
@@ -173,6 +173,14 @@ def _build_witt_function(args, p, l, m):
     return witt_function(ring, coords)
 
 
+def extension_degree(text: str) -> int:
+    """--d, the degree of the constant-field extension: at least 1."""
+    d = int(text)
+    if d < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {d}")
+    return d
+
+
 def _parse_poles(text: str, l: int):
     """Pole descriptors 'deg:n0,n1,...[:v[:v0]]' separated by ';'."""
     poles = []
@@ -198,7 +206,7 @@ def _parse_poles(text: str, l: int):
 
 
 def cmd_sum(args) -> int:
-    p, l, m = parse_ring_triple(args.ring)
+    p, l, m = parse_ints(args.ring, 3, "--ring")
     R = get_galois_ring(p, l, m)
     coeffs = parse_gr_polynomial(args.f, R)
     twist = R.from_int(args.twist) if args.twist is not None else None
@@ -214,7 +222,7 @@ def cmd_sum(args) -> int:
 
 
 def cmd_lfun(args) -> int:
-    p, l, m = parse_ring_triple(args.ring)
+    p, l, m = parse_ints(args.ring, 3, "--ring")
     fvec = _build_witt_function(args, p, l, m)
     R = get_galois_ring(p, l, m)
     twist = R.from_int(args.twist) if args.twist is not None else None
@@ -246,19 +254,15 @@ def cmd_lfun(args) -> int:
 def cmd_bound(args) -> int:
     family = args.family
     if family == "kumar":
-        if not args.ring or not args.degs:
-            raise ParseError("bound kumar needs --ring and --degs")
-        p, l, m = parse_ring_triple(args.ring)
-        degrees = [int(t) for t in args.degs.split(",")]
-        if len(degrees) != l:
-            raise ParseError(f"--degs needs {l} entries for l = {l}")
+        p, l, m = parse_ints(args.ring, 3, "--ring")
+        degrees = parse_ints(args.degs, l, "--degs")
         value = bound_kumar(p, l, m, degrees)
         payload = {"family": "kumar", "ring": {"p": p, "l": l, "m": m},
                    "degs": degrees, "bound": value}
     elif family == "thm31":
         if not args.ring or not args.f_witt:
             raise ParseError("bound thm31 needs --ring and --f-witt")
-        p, l, m = parse_ring_triple(args.ring)
+        p, l, m = parse_ints(args.ring, 3, "--ring")
         fvec = _build_witt_function(args, p, l, m)
         value = bound_thm31(fvec, args.d)
         payload = {"family": "thm31", "ring": {"p": p, "l": l, "m": m},
@@ -291,17 +295,11 @@ def cmd_verify(args) -> int:
     family = args.family
     params: dict = {}
     if family == "kumar":
-        if not args.ring or not args.degs:
-            raise ParseError("verify kumar needs --ring and --degs")
-        p, l, m = parse_ring_triple(args.ring)
-        degrees = [int(t) for t in args.degs.split(",")]
-        if len(degrees) != 2:
-            raise ParseError("verify kumar needs --degs deg0,deg1")
+        p, l, m = parse_ints(args.ring, 3, "--ring")
+        degrees = parse_ints(args.degs, 2, "--degs")
         params = {"p": p, "l": l, "m": m, "deg0": degrees[0], "deg1": degrees[1]}
     elif family == "thm31-p1":
-        if not args.ring:
-            raise ParseError("verify thm31-p1 needs --ring")
-        p, l, m = parse_ring_triple(args.ring)
+        p, l, m = parse_ints(args.ring, 3, "--ring")
         params = {"p": p, "l": l, "m": m, "max_a": args.max_a,
                   "max_b": args.max_b, "d": args.d}
     elif family != "empty":  # pragma: no cover - argparse restricts choices
@@ -364,7 +362,7 @@ def cmd_witt(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    p, l, m = parse_ring_triple(args.ring)
+    p, l, m = parse_ints(args.ring, 3, "--ring")
     fvec = _build_witt_function(args, p, l, m)
     base_genus = fvec.ring.genus
     payload = {
@@ -415,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degs", default=None, help="digit degrees, e.g. 3,1")
     sp.add_argument("--f-witt", default=None)
     sp.add_argument("--curve", default=None)
-    sp.add_argument("--d", type=int, default=1)
+    sp.add_argument("--d", type=extension_degree, default=1)
     sp.add_argument("--p", type=int, default=2)
     sp.add_argument("--l", type=int, default=2)
     sp.add_argument("--m", type=int, default=1)
@@ -430,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degs", default=None)
     sp.add_argument("--max-a", type=int, default=3)
     sp.add_argument("--max-b", type=int, default=3)
-    sp.add_argument("--d", type=int, default=1)
+    sp.add_argument("--d", type=extension_degree, default=1)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     _add_common(sp)
     sp.set_defaults(func=cmd_verify)

@@ -294,12 +294,12 @@ def parse_curve(text: str, field: FiniteField) -> EllipticCurve:
     )
 
 
-def parse_ring_triple(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ParseError("ring must be given as p,l,m")
+def parse_ints(text: str, n: int, option: str) -> list[int]:
+    """The n comma-separated integers of an option's text (None if not given)."""
+    parts = text.split(",") if text else []
+    if len(parts) != n:
+        raise ParseError(f"{option} needs {n} comma-separated integers, got {text!r}")
     try:
-        p, l, m = (int(t) for t in parts)
+        return [int(t) for t in parts]
     except ValueError:
-        raise ParseError("ring components must be integers") from None
-    return p, l, m
+        raise ParseError(f"{option} needs integers, got {text!r}") from None

@@ -158,18 +158,14 @@ class Poly:
         F = self.field
         return Poly(F, [F.mul(F.from_int(i), c) for i, c in enumerate(self.coeffs) if i])
 
-    def eval(self, x: int) -> int:
-        F = self.field
+    def eval(self, x: int, big: FiniteField | None = None, emb=None) -> int:
+        """Value at a point x of `big` (default: the coefficient field), by
+        Horner's rule; `emb` maps the coefficients into `big`."""
+        if big is None:
+            big = self.field
         acc = 0
         for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
-    def eval_in(self, big: FiniteField, emb, x: int) -> int:
-        """Evaluate at a point of an extension field, embedding coefficients."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = big.add(big.mul(acc, x), emb(c))
+            acc = big.add(big.mul(acc, x), emb(c) if emb else c)
         return acc
 
     def eval_array(self, xs, big: FiniteField | None = None, emb=None):

@@ -229,10 +229,8 @@ class RationalFunction:
         Raises ZeroDivisionError at a pole.
         """
         if big is None:
-            big, emb = self.field, None
-        n = self.num.eval_in(big, emb, x) if emb else self.num.eval(x)
-        d = self.den.eval_in(big, emb, x) if emb else self.den.eval(x)
-        return big.mul(n, big.inv(d))
+            big = self.field
+        return big.mul(self.num.eval(x, big, emb), big.inv(self.den.eval(x, big, emb)))
 
     def eval_array(self, xs, big: FiniteField | None = None, emb=None):
         """Values at a numpy array of points, as `eval` gives them one at a
@@ -283,8 +281,8 @@ class RationalFunction:
         pi = place.poly
         v, n, d = self._split_at(pi)
         big, emb, root = _residue_root(pi)
-        ev = (lambda g: g.eval_in(big, emb, root)) if emb else (lambda g: g.eval(root))
-        return v, big.mul(big.div(ev(n), ev(d)), big.pow(ev(pi.derivative()), v))
+        nv, dv, dpi = (g.eval(root, big, emb) for g in (n, d, pi.derivative()))
+        return v, big.mul(big.div(nv, dv), big.pow(dpi, v))
 
     def pole_divisor(self) -> list[tuple]:
         """[(place, pole order)] over all poles, deterministic order."""

@@ -39,7 +39,9 @@ from wittsums import (
     witt_function,
     wp,
 )
+from wittsums.charsums import _thm31_coefficient, _verdicts
 
+from functional_equation import functional_equation_holds
 from teichmuller_oracle import additive_character, sum_teichmuller_pointwise
 
 
@@ -290,6 +292,7 @@ def test_criterion_06_l_polynomial_checks():
     zeta = CyclotomicInteger.zeta_pow(2, 2, 1)
     assert res.claimed_degree == 1
     assert res.coefficients[0] == one and res.coefficients[1] == one + zeta
+    assert functional_equation_holds(res, 2)
     checked = 0
     for p, m, count in [(2, 1, 20), (2, 2, 10), (3, 1, 14), (3, 2, 6)]:
         F = get_field(p, m)
@@ -309,10 +312,11 @@ def test_criterion_06_l_polynomial_checks():
             target = p ** (m / 2)
             for r in result.inverse_root_moduli:
                 assert abs(r - target) <= 1e-6 * target
+            assert functional_equation_holds(result, F.q)
             produced += 1
             checked += 1
     _report(
-        6, "L-polynomial degree + inverse-root moduli", time.time() - t0, 300,
+        6, "L-polynomial degree, inverse-root moduli, functional equation", time.time() - t0, 300,
         f"{checked + 1} nondegenerate instances incl. the exact worked case",
     )
 
@@ -345,18 +349,20 @@ def test_criterion_07_genus1_bound():
                 rp = reduced_pole_order(fvec, O)
                 if rp > 9:
                     continue
-                cond = conductor(fvec)
+                c = _thm31_coefficient(fvec, conductor(fvec))
                 for d in (1, 2, 3):
-                    bound = bound_thm31(fvec, d)
-                    measured = sum_witt(fvec, d).modulus
-                    assert measured <= bound + 1e-9
-                # closed-form l=2 bound dominates the conductor bound
+                    weights = np.array([sum_witt(fvec, d).value.coeffs]).T
+                    verdict = _verdicts(F.p, 2, weights, [c], F.m * d)
+                    assert verdict["passed"][0]
+                    assert verdict["bound"][0] == bound_thm31(fvec, d)
+                # the closed-form l=2 bound dominates the conductor bound; at
+                # m = 0, p^(m/2) = 1 and each bound is its integer coefficient
                 n0 = max(0, -fvec.coords[0].valuation_at(O))
                 inputs = BoundInputs(
-                    p=F.p, l=2, m=F.m, genus=1,
+                    p=F.p, l=2, m=0, genus=1,
                     poles=(PoleData(deg=1, pole_orders=(n0, 0)),),
                 )
-                assert bound_cor52(inputs) >= bound_thm31(fvec, 1) - 1e-9
+                assert bound_cor52(inputs) >= c
                 instances += 1
     assert instances >= 10
     _report(

@@ -34,6 +34,7 @@ from wittsums import (
     witt_function,
 )
 
+from functional_equation import functional_equation_holds
 from teichmuller_oracle import sum_teichmuller_pointwise
 
 
@@ -206,6 +207,28 @@ def test_l_function_degree5_riemann_hypothesis():
     assert res.trailing_zero
     for r in res.inverse_root_moduli:
         assert abs(r - 2**0.5) < 1e-6 * 2**0.5
+    assert functional_equation_holds(res, 2)
+
+
+@pytest.mark.parametrize(
+    "p, coeffs, fn, degree, pinned",
+    [
+        # (y + x, y) on y^2 + xy = x^3 + 1 over F_2: conductor 7
+        (2, (1, 0, 0, 0, 1), lambda x, y: (y + x, y), 7, None),
+        # (y) on y^2 = x^3 + 2x + 1 over F_3: L(T) = 1 - 3T + 3T^2
+        (3, (0, 0, 0, 2, 1), lambda x, y: (y,), 2, [(1, 0), (-3, 0), (3, 0)]),
+    ],
+)
+def test_l_function_genus1(p, coeffs, fn, degree, pinned):
+    E = EllipticCurve(get_field(p, 1), *coeffs)
+    fvec = witt_function(EllipticFunctionField(E), fn(EllipticFunction.x(E), EllipticFunction.y(E)))
+    res = l_function(fvec)
+    assert res.claimed_degree == degree and res.trailing_zero
+    for r in res.inverse_root_moduli:
+        assert abs(r - p**0.5) < 1e-6 * p**0.5
+    assert functional_equation_holds(res, p)
+    if pinned:
+        assert [c.coeffs for c in res.coefficients[: degree + 1]] == pinned
 
 
 def test_l_function_log_derivative_consistency():
@@ -241,6 +264,20 @@ def test_bound_kumar_worked_values():
 def test_bound_thm31_worked_values():
     assert abs(bound_thm31(p1_fvec(2, 1, 3, None), 1) - 5 * 2**0.5) < 1e-12
     assert abs(bound_thm31(p1_fvec(2, 1, 1, None), 1) - 2**0.5) < 1e-12
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_extension_degree_below_one_is_refused(d):
+    fvec = p1_fvec(2, 1, 3, None)
+    degenerate = witt_function(fvec.ring, (RationalFunction.zero(get_field(2, 1)),) * 2)
+    calls = [
+        lambda: bound_thm31(degenerate, d),  # refused before the degeneracy test
+        lambda: sum_witt(fvec, d),
+        lambda: verify_sweep("thm31-p1", p=2, l=2, m=1, max_a=3, max_b=3, d=d),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            call()
 
 
 def test_bound_thm31_genus1_single_pole():

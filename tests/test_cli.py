@@ -7,10 +7,11 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 import wittsums.cli
-from wittsums.charsums import _float_sweep, verify_sweep
+from wittsums.charsums import SweepResult, verify_sweep
 from wittsums.cli import _sweep_csv, _sweep_json, main
 
 
@@ -192,8 +193,18 @@ def test_sweep_writer_matches_json_dumps(family, params):
     assert "".join(_sweep_json(family, result)) == _dumps_reports(family, result)
 
 
+def _rows(names, measured, bound, ratio, passed):
+    """A one-label-column sweep result built from its columns."""
+    return SweepResult("%s", (names,), *map(np.array, (measured, bound, ratio, passed)))
+
+
+# a nonzero sum over a zero bound, an exact zero, and a negative zero
+_ESCAPES = (['a"b\\c', "d\u00e9\n", "e"], [1.5, 0.0, -0.0], [0.0, 0.0, 2.0],
+            [math.inf, 0.0, -0.0], [False, True, True])
+
+
 def test_sweep_writer_infinite_ratio_and_escapes():
-    result = _float_sweep(['a"b\\c', "d\u00e9\n", "e"], [1.5, 0.0, -0.0], [0.0, 0.0, 2.0])
+    result = _rows(*_ESCAPES)
     assert result.ratio[0] == float("inf")
     text = "".join(_sweep_json("thm31-p1", result))
     assert text == _dumps_reports("thm31-p1", result)
@@ -236,13 +247,13 @@ _CHUNKED_SWEEPS = {
     "kumar-321-21": lambda: ("kumar", verify_sweep("kumar", p=3, l=2, m=1, deg0=2, deg1=1)),
     "thm31-p1": lambda: ("thm31-p1", verify_sweep("thm31-p1", p=2, l=2, m=1, max_a=3, max_b=2, d=1)),
     "empty": lambda: ("empty", verify_sweep("empty")),
-    "escapes": lambda: ("thm31-p1", _float_sweep(
-        ['a"b\\c', "d\u00e9\n", "e"], [1.5, 0.0, -0.0], [0.0, 0.0, 2.0])),
+    "escapes": lambda: ("thm31-p1", _rows(*_ESCAPES)),
     # a literal %% in the label, around integer and string columns
     "percent-int": lambda: ("kumar", dataclasses.replace(
         verify_sweep("kumar", p=2, l=2, m=1, deg0=2, deg1=1), label='%%"%d_%d%%_%d\\%%')),
     "percent-str": lambda: ("thm31-p1", dataclasses.replace(
-        _float_sweep(["a%b", "%%", "%s", '"'], [1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 2.0, 2.0]),
+        _rows(["a%b", "%%", "%s", '"'], [1.0, 2.0, 3.0, 4.0], [2.0] * 4,
+              [0.5, 1.0, 1.5, 2.0], [True, True, False, False]),
         label="100%%_%s")),
 }
 
@@ -362,11 +373,32 @@ def test_singular_curve_exit4(capsys):
         (["sum", "--ring", "2,2,1", "--f", "T^100000000"], 3),
         # S_15 would enumerate 3^15 points: refused before S_1 is summed
         (["lfun", "--ring", "3,2,1", "--f-witt", "(x^5,0)", "--terms", "15"], 3),
+        # a digit degree that is not an integer is a parse error
+        (["verify", "kumar", "--ring", "2,2,3", "--degs", "3,x"], 2),
+        (["bound", "kumar", "--ring", "2,2,3", "--degs", "a,1"], 2),
+        # an extension degree below 1 is a usage error, not a bound
+        (["bound", "thm31", "--ring", "2,2,1", "--f-witt", "(x^3,0)", "--d", "0"], 2),
+        (["bound", "thm31", "--ring", "2,2,1", "--f-witt", "(x^3,0)", "--d", "-2"], 2),
+        (["verify", "thm31-p1", "--ring", "2,2,1", "--d", "-1"], 2),
     ],
 )
 def test_exit_code_table(capsys, argv, expected):
     code, out = run(capsys, argv)
     assert code == expected and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "kumar", "--ring", "2,2,3", "--degs", "3,x"], "--degs"),
+        (["bound", "thm31", "--ring", "2,2,1", "--f-witt", "(x^3,0)", "--d", "0"], "--d"),
+        (["verify", "thm31-p1", "--ring", "2,2,1", "--d", "x"], "--d"),
+    ],
+)
+def test_degree_errors_name_their_option(capsys, argv, option):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert option in err[-1]
 
 
 # stdout of `genus`, pinned byte for byte

@@ -10,6 +10,8 @@ tables of the whole Galois ring.  Each fast path must agree with them
 exactly.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from wittsums.asw import (
 )
 from wittsums.charsums import (
     _digit_trace_tables,
+    _verdicts,
     l_function,
     sum_witt,
     sweep_kumar,
@@ -427,6 +430,81 @@ def test_kumar_counts_match_ring_table_oracle(p, m, deg0, deg1):
         else:
             assert abs(result.s2[i] - abs(S.complex_value()) ** 2) < 1e-9
         assert result.passed[i] == (result.s2[i] <= result.b2[i])
+
+
+# -- the exact verdict ----------------------------------------------------------
+
+
+def _gauss_sum(p, l):
+    """Exponent counts of an element of norm p in Z[zeta_{p^l}]: 1 + i for
+    p = 2, the quadratic Gauss sum over Z/p for p odd."""
+    n = p**l
+    g = np.zeros(n, dtype=np.int64)
+    if p == 2:
+        g[[0, n // 4]] = 1
+    else:
+        for x in range(p):
+            g[x * x % p * (n // p)] += 1
+    return g
+
+
+def _verdict_instances(p, l, rng):
+    """(weights, c) with e = 1: sums exactly on the bound |S|^2 = c^2 p,
+    zero sums under B = 0, and random sums, some padded with K times the
+    vanishing sum of all p^l-th roots of unity so that W grows but S does
+    not."""
+    n = p**l
+    g = _gauss_sum(p, l)
+    cols, cs = [], []
+    for _ in range(12):  # k zeta^t g has norm k^2 p
+        k, t = rng.randrange(1, 6), rng.randrange(n)
+        cols.append(k * np.roll(g, t))
+        cs.append(k)
+    for _ in range(4):  # S = 0 under B = 0
+        cols.append(np.zeros(n, dtype=np.int64))
+        cs.append(0)
+    for _ in range(24):
+        cols.append(np.array([rng.randrange(0, 4) for _ in range(n)]))
+        cs.append(rng.randrange(0, 6))
+    for i in range(16):  # pad the exact cases and leave the random ones lean
+        cols[i] = cols[i] + rng.choice((1, 10, 1000))
+    return np.array(cols).T, cs
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("p, l", [(2, 3), (3, 2), (3, 3)])
+def test_verdicts_margin_against_exact_test(p, l, reduced):
+    """The float path with its margin against the exact test in Z[zeta]:
+    |S|^2 = B^2 reads s2 == b2 exactly, and every other verdict has the
+    sign of |S|^2 - B^2, from exponent counts or reduced coefficients."""
+    n = p**l
+    weights, cs = _verdict_instances(p, l, random.Random(n))
+    sums = [CyclotomicInteger._reduce(p, l, col.tolist()) for col in weights.T]
+    if reduced:
+        weights = np.array([S.coeffs for S in sums]).T
+    got = _verdicts(p, l, weights, cs, 1)
+    for i, (S, c) in enumerate(zip(sums, cs)):
+        gap = S * S.conjugate_power(n - 1) - CyclotomicInteger.from_int(p, l, c * c * p)
+        if gap.is_zero():
+            assert got["passed"][i] and got["s2"][i] == got["b2"][i] == c * c * p
+        else:
+            diff = gap.complex_value().real
+            assert abs(diff) > 1e-6  # the oracle's sign is beyond doubt
+            assert got["passed"][i] == (diff < 0)
+        assert got["measured"][i] == pytest.approx(abs(S.complex_value()), abs=1e-9)
+    assert (got["s2"] == got["b2"]).sum() == 16
+
+
+@pytest.mark.parametrize("p, l", [(2, 3), (3, 2), (3, 3)])
+def test_verdicts_refuse_an_undecidable_instance(p, l):
+    """S = 1 + zeta has |S|^2 = 2 + 2 cos(2 pi/p^l), off B^2 = 4 by less
+    than 0.7; padded with 10^7 times the vanishing sum of all roots of
+    unity, it falls inside the margin and fails the exact test."""
+    n = p**l
+    weights = np.full((n, 1), 10**7, dtype=np.int64)
+    weights[:2] += 1
+    with pytest.raises(ArithmeticError):
+        _verdicts(p, l, weights, [2], 0)
 
 
 # -- P^1 point sums -----------------------------------------------------------
