@@ -607,7 +607,8 @@ def _verdicts(p: int, l: int, weights, c, e: int) -> dict:
     """The columns `measured` |S|, `bound` B, `ratio` |S|/B, `passed`, `s2`
     |S|^2 and `b2` B^2 of a sweep, for S = sum_t weights[t, i] zeta^t,
     zeta = exp(2 pi i/p^l), and B = c[i] p^(e/2), weights and c integers.
-    |S|^2 <= B^2 is decided in integers where S lies in Z[i] (p^l = 2, 4).
+    |S|^2 <= B^2 is decided in integers where S lies in Z[i] (p^l = 2, 4;
+    rows past the last given weight count as 0).
 
     Otherwise |S|^2 is summed in floats.  Let n = p^l, W = sum_t |w_t| and
     u = eps/2.  The angle 2 pi t/n carries three roundings, an error below
@@ -626,10 +627,10 @@ def _verdicts(p: int, l: int, weights, c, e: int) -> dict:
     c = np.asarray(c, dtype=np.int64)
     b2 = c * c * p**e
     near = ()
-    if n <= 4:  # zeta^t = i^k, k = 4t/n: Re S and Im S are integers
-        by_k = {4 * t // n: row for t, row in enumerate(weights)}
-        re = by_k[0].astype(np.int64) - by_k.get(2, 0)
-        im = by_k[1].astype(np.int64) - by_k.get(3, 0) if 1 in by_k else 0
+    if n in (2, 4):  # zeta = -1 or i: Re S and Im S are integers
+        w = list(weights) + [0] * (n - len(weights))
+        re = w[0].astype(np.int64) - w[n // 2]
+        im = w[1].astype(np.int64) - w[3] if n == 4 else 0
         s2 = re * re + im * im
         del re, im  # not kept beside the columns
     else:

@@ -609,3 +609,15 @@ def test_verify_thm31_length_three_pads_the_vectors(capsys):
         names[l] = [r["instance"] for r in json.loads(out)["reports"]]
     assert names[2] == ["(x^1,x^0)_d1", "(x^1,x^1)_d1", "(x^2,x^0)_d1", "(x^2,x^1)_d1"]
     assert names[3] == [n.replace(")_", ",0)_") for n in names[2]]
+
+
+def test_verify_thm31_cube_roots_on_the_bound(capsys):
+    """At p^l = 3 the sums lie in Z[zeta_3], not Z[i]: (x^2) has
+    S = 1 + 2 zeta_3 with |S|^2 = 3 = B^2, on the bound and passing."""
+    code, out = run(capsys, ["verify", "thm31-p1", "--ring", "3,1,1"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["violations"] == 0 and doc["max_ratio"] == 1.0
+    assert [(r["instance"], r["passed"], r["bound"]) for r in doc["reports"]] == [
+        ("(x^1)_d1", True, 0.0), ("(x^2)_d1", True, 3**0.5), ("(x^3)_d1", True, 0.0)]
+    assert doc["reports"][1]["abs"] == doc["reports"][1]["bound"]

@@ -436,27 +436,31 @@ def test_kumar_counts_match_ring_table_oracle(p, m, deg0, deg1):
 
 
 def _gauss_sum(p, l):
-    """Exponent counts of an element of norm p in Z[zeta_{p^l}]: 1 + i for
-    p = 2, the quadratic Gauss sum over Z/p for p odd."""
+    """(g, e): exponent counts g of an element of norm p^e in Z[zeta_{p^l}],
+    2 with e = 2 in Z, 1 + i with e = 1 for p = 2, l >= 2, and the quadratic
+    Gauss sum over Z/p with e = 1 for p odd."""
     n = p**l
     g = np.zeros(n, dtype=np.int64)
+    if n == 2:
+        g[0] = 2
+        return g, 2
     if p == 2:
         g[[0, n // 4]] = 1
     else:
         for x in range(p):
             g[x * x % p * (n // p)] += 1
-    return g
+    return g, 1
 
 
 def _verdict_instances(p, l, rng):
-    """(weights, c) with e = 1: sums exactly on the bound |S|^2 = c^2 p,
-    zero sums under B = 0, and random sums, some padded with K times the
-    vanishing sum of all p^l-th roots of unity so that W grows but S does
-    not."""
+    """(weights, c, e): sums exactly on the bound |S|^2 = c^2 p^e, zero sums
+    under B = 0, random sums, some padded with K times the vanishing sum of
+    all p^l-th roots of unity so that W grows but S does not, and S = 1
+    under B = 0."""
     n = p**l
-    g = _gauss_sum(p, l)
+    g, e = _gauss_sum(p, l)
     cols, cs = [], []
-    for _ in range(12):  # k zeta^t g has norm k^2 p
+    for _ in range(12):  # k zeta^t g has norm k^2 p^e
         k, t = rng.randrange(1, 6), rng.randrange(n)
         cols.append(k * np.roll(g, t))
         cs.append(k)
@@ -468,31 +472,41 @@ def _verdict_instances(p, l, rng):
         cs.append(rng.randrange(0, 6))
     for i in range(16):  # pad the exact cases and leave the random ones lean
         cols[i] = cols[i] + rng.choice((1, 10, 1000))
-    return np.array(cols).T, cs
+    cols.append(np.eye(1, n, dtype=np.int64)[0])
+    cs.append(0)
+    return np.array(cols).T, cs, e
 
 
 @pytest.mark.parametrize("reduced", [False, True])
-@pytest.mark.parametrize("p, l", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("p, l", [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (3, 3)])
 def test_verdicts_margin_against_exact_test(p, l, reduced):
-    """The float path with its margin against the exact test in Z[zeta]:
-    |S|^2 = B^2 reads s2 == b2 exactly, and every other verdict has the
-    sign of |S|^2 - B^2, from exponent counts or reduced coefficients."""
+    """Each verdict path against the exact test in Z[zeta], integers at
+    p^l = 2, 4 and floats with their margin elsewhere: |S|^2 = B^2 reads
+    s2 == b2 exactly, every other verdict has the sign of |S|^2 - B^2, from
+    exponent counts or reduced coefficients, and under B = 0 the ratio is
+    inf for S != 0 and 0 for S = 0."""
     n = p**l
-    weights, cs = _verdict_instances(p, l, random.Random(n))
+    weights, cs, e = _verdict_instances(p, l, random.Random(n))
     sums = [CyclotomicInteger._reduce(p, l, col.tolist()) for col in weights.T]
     if reduced:
         weights = np.array([S.coeffs for S in sums]).T
-    got = _verdicts(p, l, weights, cs, 1)
+    got = _verdicts(p, l, weights, cs, e)
+    on_bound, ratios = 0, set()
     for i, (S, c) in enumerate(zip(sums, cs)):
-        gap = S * S.conjugate_power(n - 1) - CyclotomicInteger.from_int(p, l, c * c * p)
+        gap = S * S.conjugate_power(n - 1) - CyclotomicInteger.from_int(p, l, c * c * p**e)
         if gap.is_zero():
-            assert got["passed"][i] and got["s2"][i] == got["b2"][i] == c * c * p
+            assert got["passed"][i] and got["s2"][i] == got["b2"][i] == c * c * p**e
+            on_bound += 1
         else:
             diff = gap.complex_value().real
             assert abs(diff) > 1e-6  # the oracle's sign is beyond doubt
             assert got["passed"][i] == (diff < 0)
         assert got["measured"][i] == pytest.approx(abs(S.complex_value()), abs=1e-9)
-    assert (got["s2"] == got["b2"]).sum() == 16
+        if c == 0:
+            ratios.add(got["ratio"][i])
+            assert got["ratio"][i] == (0.0 if S.is_zero() else np.inf)
+    assert on_bound >= 16 and (got["s2"] == got["b2"]).sum() == on_bound
+    assert ratios == {0.0, np.inf}
 
 
 @pytest.mark.parametrize("p, l", [(2, 3), (3, 2), (3, 3)])
