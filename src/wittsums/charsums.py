@@ -606,9 +606,8 @@ def _digit_degree(q: int, n: int):
 def _verdicts(p: int, l: int, weights, c, e: int) -> dict:
     """The columns `measured` |S|, `bound` B, `ratio` |S|/B, `passed`, `s2`
     |S|^2 and `b2` B^2 of a sweep, for S = sum_t weights[t, i] zeta^t,
-    zeta = exp(2 pi i/p^l), and B = c[i] p^(e/2), weights and c integers.
-    |S|^2 <= B^2 is decided in integers where S lies in Z[i] (p^l = 2, 4;
-    rows past the last given weight count as 0).
+    zeta = exp(2 pi i/p^l), B = c[i] p^(e/2), weights and c integers, absent
+    rows 0.  |S|^2 <= B^2 is decided in integers where S is in Z[i] (p^l = 2, 4).
 
     Otherwise |S|^2 is summed in floats.  Let n = p^l, W = sum_t |w_t| and
     u = eps/2.  The angle 2 pi t/n carries three roundings, an error below

@@ -465,7 +465,9 @@ class EllipticFunction:
 
     def eval_at_point(self, big: FiniteField, emb, x0: int, y0: int) -> int:
         """Value at an affine point; raises ZeroDivisionError at poles."""
-        return big.add(self.u.eval(x0, big, emb), big.mul(self.v.eval(x0, big, emb), y0))
+        uval = self.u.eval(x0, big, emb)
+        vval = self.v.eval(x0, big, emb)
+        return big.add(uval, big.mul(vval, y0))
 
     def eval_array(self, xs, ys, big: FiniteField | None = None, emb=None):
         """Values at the affine points with code arrays xs, ys, as
