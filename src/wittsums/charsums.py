@@ -50,7 +50,7 @@ from .asw import (
     witt_function,
 )
 from .cyclotomic import CyclotomicInteger
-from .fields import _linear_orbit, extension, get_field
+from .fields import _linear_orbit, extension, get_field, isprime
 from .galois_rings import GaloisRing, get_galois_ring, get_gr_embedding
 from .poly import Poly, PolynomialRing, factor
 from .rational import (
@@ -242,7 +242,7 @@ def _digits_at(fvec, place, twist_key):
     return digits, rf.k
 
 
-def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None) -> CharSumResult:
+def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None, *, _places=None) -> CharSumResult:
     """Exact sum of psi(Tr(f(P))) over the k_d-points of the curve outside
     the excluded places.
 
@@ -254,7 +254,7 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None) -> CharS
     point, since P-shifts have character value 1 and the trace is constant
     on Frobenius orbits.  A value in F_{q^k} has d/k times its exponent
     over F_{q^k}.  A twist off Z/p^l does not kill P-shifts, so a pole
-    removed there raises ValueError.
+    removed there raises ValueError.  `_places`: _denominator_places(fvec).
     """
     _check_degree(d)
     ring = fvec.ring
@@ -277,7 +277,7 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None) -> CharS
         if e != base:
             free &= ~ring.place_mask(e, points, big, emb)
     summed = [] if base in exclusions else [(base, 1)]
-    for pl_ in _denominator_places(fvec):
+    for pl_ in _denominator_places(fvec) if _places is None else _places:
         if pl_ in exclusions or d % pl_.degree:
             continue  # a place of degree e has k_d-points only when e | d
         at = free & ring.place_mask(pl_, points, big, emb)
@@ -347,8 +347,10 @@ def l_function(fvec: WittVector, terms: int | None = None, twist=None) -> LFunct
     q = fvec.ring.field.q
     if q**n_terms > ENUMERATION_CAP:  # the largest sum, refused before the first
         raise EnumerationCapError(f"point enumeration size {q}^{n_terms} exceeds cap {ENUMERATION_CAP}")
+    places = _denominator_places(fvec)
     power_sums = [
-        sum_witt(fvec, d, exclusions=cond.support, twist=twist).value for d in range(1, n_terms + 1)
+        sum_witt(fvec, d, exclusions=cond.support, twist=twist, _places=places).value
+        for d in range(1, n_terms + 1)
     ]
     coeffs = [CyclotomicInteger.one(p, l)]
     for n in range(1, n_terms + 1):
@@ -442,6 +444,10 @@ class BoundInputs:
     def validate(self):
         import math
 
+        if not isprime(self.p):
+            raise ValueError(f"p = {self.p} is not prime")
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
         if any(pd.deg <= 0 or pd.v < 0 or pd.v0 < 0 for pd in self.poles):
             raise ValueError("pole entries must be nonnegative with positive degree")
         if any(len(pd.pole_orders) != self.l for pd in self.poles):
@@ -583,15 +589,21 @@ def _kumar_counts(p: int, m: int, n0: int, n1: int):
     codes = np.arange(q)
     dtype = np.min_scalar_type((n0 + n1) * (pl_mod - 1))
     counts = np.zeros((pl_mod, q ** (n0 + n1)), dtype=np.uint16)
+    # the broadcast sums alternate between two buffers and every exponent
+    # mask reuses one, so a sweep allocates no array per point
+    sums = np.empty((2, counts.shape[1]), dtype=dtype)
+    hit = np.empty(counts.shape[1], dtype=bool)
     for x in range(q):
         rows = [C[i][F.mul_array(codes, F.pow(x, k))].astype(dtype)
                 for i, n in ((0, n0), (1, n1)) for k in range(n)]
         e = rows[0]
-        for row in rows[1:]:
-            e = (e[:, None] + row).ravel()
+        for j, row in enumerate(rows[1:]):
+            out = sums[j % 2, : len(e) * q]
+            np.add(e[:, None], row, out=out.reshape(len(e), q))
+            e = out
         e %= pl_mod
         for t in range(pl_mod):
-            counts[t] += e == t
+            counts[t] += np.equal(e, t, out=hit)
     return counts
 
 
@@ -701,6 +713,8 @@ def sweep_thm31_p1(p: int, l: int, m: int, max_a: int, max_b: int, d: int = 1) -
     on P^1, or (x^a) when l = 1; an instance is named by its coordinates,
     as in `(x^2,x^1,0)_d1`."""
     _check_degree(d)
+    if max_a < 1 or max_b < 0:
+        raise ValueError(f"need max_a >= 1 and max_b >= 0, got {max_a} and {max_b}")
     F = get_field(p, m)
     K = RationalFunctionField(F)
     x = RationalFunction.x(F)

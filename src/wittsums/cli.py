@@ -37,7 +37,7 @@ from .charsums import (
     verify_sweep,
 )
 from .elliptic import EllipticFunctionField
-from .fields import FieldCapError, get_field
+from .fields import FieldCapError, get_field, isprime
 from .galois_rings import get_galois_ring
 from .parsing import (
     ParseError,
@@ -173,12 +173,24 @@ def _build_witt_function(args, p, l, m):
     return witt_function(ring, coords)
 
 
-def extension_degree(text: str) -> int:
-    """--d, the degree of the constant-field extension: at least 1."""
-    d = int(text)
-    if d < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {d}")
-    return d
+def at_least(least: int):
+    """An argparse type: an integer option that must be >= least."""
+
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
+        return n
+
+    return integer
+
+
+def prime(text: str) -> int:
+    """An argparse type: a prime characteristic."""
+    p = int(text)
+    if not isprime(p):
+        raise argparse.ArgumentTypeError(f"must be a prime, got {p}")
+    return p
 
 
 def _parse_poles(text: str, l: int):
@@ -413,10 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degs", default=None, help="digit degrees, e.g. 3,1")
     sp.add_argument("--f-witt", default=None)
     sp.add_argument("--curve", default=None)
-    sp.add_argument("--d", type=extension_degree, default=1)
-    sp.add_argument("--p", type=int, default=2)
+    sp.add_argument("--d", type=at_least(1), default=1)
+    sp.add_argument("--p", type=prime, default=2)
     sp.add_argument("--l", type=int, default=2)
-    sp.add_argument("--m", type=int, default=1)
+    sp.add_argument("--m", type=at_least(1), default=1)
     sp.add_argument("--g", type=int, default=None, help="base genus")
     sp.add_argument("--poles", default=None, help='e.g. "1:2" or "1:2,5:1:1"')
     _add_common(sp)
@@ -426,9 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("family", choices=["kumar", "thm31-p1", "empty"])
     sp.add_argument("--ring", default=None, metavar="p,l,m")
     sp.add_argument("--degs", default=None)
-    sp.add_argument("--max-a", type=int, default=3)
-    sp.add_argument("--max-b", type=int, default=3)
-    sp.add_argument("--d", type=extension_degree, default=1)
+    sp.add_argument("--max-a", type=at_least(1), default=3)
+    sp.add_argument("--max-b", type=at_least(0), default=3)
+    sp.add_argument("--d", type=at_least(1), default=1)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     _add_common(sp)
     sp.set_defaults(func=cmd_verify)

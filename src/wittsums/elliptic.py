@@ -109,8 +109,9 @@ class EllipticCurve:
         its log is even."""
         xs = np.asarray(xs, dtype=np.int64)
         n, exp, log = big.q - 1, big._exp_a, big._log_a
-        A = self.poly_A().eval_array(xs, big, emb)
-        B = self.poly_B().eval_array(xs, big, emb)
+        lx = log[xs]
+        A = self.poly_A().eval_logs(lx, big, emb)
+        B = self.poly_B().eval_logs(lx, big, emb)
         if big.p == 2:
             # the log of a zero code is -1: the entries it spoils are replaced
             z = _artin_schreier_table(big)[np.where(B == 0, 0, exp[(log[B] - 2 * log[A]) % n])]
@@ -475,10 +476,11 @@ class EllipticFunction:
         if u or v has a pole at any x."""
         if big is None:
             big = self.curve.field
-        out = self.u.eval_array(xs, big, emb)
+        lx = big._log_a[xs]
+        out = self.u.eval_logs(lx, big, emb)
         if self.v.is_zero():
             return out
-        return big.add_array(out, big.mul_array(self.v.eval_array(xs, big, emb), ys))
+        return big.add_array(out, big.mul_array(self.v.eval_logs(lx, big, emb), ys))
 
     def _eval_rat_at_series(self, f: RationalFunction, x_s, emb):
         num = eval_poly_at_series(f.num.coeffs, x_s, emb)

@@ -6,6 +6,12 @@ irreducible modulus.  All arithmetic goes through exp/log (Zech) tables,
 so individual operations are O(1) after a one-time O(q) table build.  The
 tables come as Python lists for scalar operations and as numpy arrays for
 the `*_array` operations, which act on whole arrays of codes at once.
+
+The log table maps 0 to -1.  Array evaluation of polynomials works in the
+log domain: with n = q - 1 and lx = log[x], a monomial c x^i (i >= 1) is
+the gather exp[(log c + (i mod n) lx) mod n], entries where lx = -1 (the
+point 0) are replaced by the constant term, and terms are added with
+`add_array` (XOR at p = 2, Zech logarithms at odd p).
 """
 
 from __future__ import annotations
@@ -333,12 +339,6 @@ class FiniteField:
         a, b = np.asarray(a), np.asarray(b)
         prod = self._exp_a[(self._log_a[a] + self._log_a[b]) % (self.q - 1)]
         return np.where((a == 0) | (b == 0), 0, prod)
-
-    def inv_array(self, a):
-        a = np.asarray(a)
-        if (a == 0).any():
-            raise ZeroDivisionError("inverse of 0")
-        return self._exp_a[-self._log_a[a] % (self.q - 1)]
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:

@@ -170,14 +170,30 @@ class Poly:
 
     def eval_array(self, xs, big: FiniteField | None = None, emb=None):
         """Values at a numpy array of points of `big` (default: the
-        coefficient field), by Horner's rule over the whole array; `emb`
-        maps the coefficients into `big`, once each."""
+        coefficient field), as `eval` gives them, in the log domain: with
+        n = q - 1, c x^i (i >= 1) is the gather exp[(log c + (i mod n)
+        log x) mod n], i reduced so that the product stays below n^2, and
+        the terms add by `add_array`; `emb` maps the coefficients into `big`."""
         if big is None:
             big = self.field
-        acc = np.zeros(np.shape(xs), dtype=np.int64)
-        for c in reversed(self.coeffs):
-            acc = big.add_array(big.mul_array(acc, xs), emb(c) if emb else c)
-        return acc
+        return self.eval_logs(big._log_a[xs], big, emb)
+
+    def eval_logs(self, lx, big: FiniteField, emb=None):
+        """`eval_array` at the points whose logs are lx.  As log 0 = -1, the
+        gathers at x = 0 read wrong entries: the constant term replaces them."""
+        n = big.q - 1
+        cs = [emb(c) for c in self.coeffs] if emb else self.coeffs
+        c0 = cs[0] if cs else 0
+        acc = None
+        for i, c in enumerate(cs[1:], 1):
+            if c:
+                term = big._exp_a[(big.log[c] + i % n * lx) % n]
+                acc = term if acc is None else big.add_array(acc, term)
+        if acc is None:
+            return np.full(np.shape(lx), c0, dtype=np.int64)
+        if c0:
+            acc = big.add_array(acc, c0)
+        return np.where(lx < 0, c0, acc)
 
     def map_field(self, emb) -> "Poly":
         return Poly(emb.big, [emb(c) for c in self.coeffs])

@@ -237,8 +237,18 @@ class RationalFunction:
         time; raises ZeroDivisionError if any point is a pole."""
         if big is None:
             big = self.field
-        num = self.num.eval_array(xs, big, emb)
-        return big.mul_array(num, big.inv_array(self.den.eval_array(xs, big, emb)))
+        return self.eval_logs(big._log_a[xs], big, emb)
+
+    def eval_logs(self, lx, big: FiniteField, emb=None):
+        """Values at the points whose logs are lx (-1 for the point 0), as
+        `Poly.eval_logs` gives num and den; the quotient is a difference of
+        logs.  Raises ZeroDivisionError if any point is a pole."""
+        num = self.num.eval_logs(lx, big, emb)
+        den = self.den.eval_logs(lx, big, emb)
+        if not den.all():
+            raise ZeroDivisionError("inverse of 0")
+        quo = big._exp_a[(big._log_a[num] - big._log_a[den]) % (big.q - 1)]
+        return np.where(num == 0, 0, quo)
 
     # -- places and valuations
 
@@ -411,8 +421,7 @@ class RationalFunctionField(OperatorRing):
 
     def place_mask(self, place: FinitePlace, points, big: FiniteField, emb):
         """Which of `points` (from points_over) lie on a finite place."""
-        pol = place.poly.map_field(emb) if emb else place.poly
-        return pol.eval_array(points[0]) == 0
+        return place.poly.eval_logs(big._log_a[points[0]], big, emb) == 0
 
     def rational_above(self, place):
         """(ring', place', emb): a rational place above `place` over the

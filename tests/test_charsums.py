@@ -310,6 +310,16 @@ def test_bound_inputs_validation():
     )
     with pytest.raises(ValueError):
         bound_thm51(bad)
+    poles = (PoleData(deg=1, pole_orders=(2, 0)),)
+    for p, m, message in ((4, 1, "not prime"), (3, 0, "m must be >= 1"), (3, -2, "m must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            BoundInputs(p=p, l=2, m=m, genus=1, poles=poles).validate()
+
+
+@pytest.mark.parametrize("max_a, max_b", [(0, 3), (-1, 3), (3, -1)])
+def test_sweep_thm31_p1_empty_range_is_refused(max_a, max_b):
+    with pytest.raises(ValueError, match="max_a >= 1 and max_b >= 0"):
+        verify_sweep("thm31-p1", p=2, l=2, m=1, max_a=max_a, max_b=max_b, d=1)
 
 
 # -- sweeps ---------------------------------------------------------------------

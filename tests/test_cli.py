@@ -380,6 +380,15 @@ def test_singular_curve_exit4(capsys):
         (["bound", "thm31", "--ring", "2,2,1", "--f-witt", "(x^3,0)", "--d", "0"], 2),
         (["bound", "thm31", "--ring", "2,2,1", "--f-witt", "(x^3,0)", "--d", "-2"], 2),
         (["verify", "thm31-p1", "--ring", "2,2,1", "--d", "-1"], 2),
+        # a bound needs a prime p and m >= 1
+        (["bound", "cor52", "--p", "4", "--g", "1", "--poles", "1:2"], 2),
+        (["bound", "cor52", "--p", "3", "--m", "-2", "--g", "1", "--poles", "1:2"], 2),
+        (["bound", "thm51", "--p", "9", "--g", "1", "--poles", "1:2"], 2),
+        (["bound", "cor53", "--p", "3", "--m", "0", "--g", "1", "--poles", "1:2"], 2),
+        # an empty exponent range would verify nothing
+        (["verify", "thm31-p1", "--ring", "2,2,1", "--max-a", "0"], 2),
+        (["verify", "thm31-p1", "--ring", "2,2,1", "--max-a", "-1"], 2),
+        (["verify", "thm31-p1", "--ring", "2,2,1", "--max-b", "-1"], 2),
     ],
 )
 def test_exit_code_table(capsys, argv, expected):
@@ -393,6 +402,10 @@ def test_exit_code_table(capsys, argv, expected):
         (["verify", "kumar", "--ring", "2,2,3", "--degs", "3,x"], "--degs"),
         (["bound", "thm31", "--ring", "2,2,1", "--f-witt", "(x^3,0)", "--d", "0"], "--d"),
         (["verify", "thm31-p1", "--ring", "2,2,1", "--d", "x"], "--d"),
+        (["bound", "cor52", "--p", "4", "--g", "1", "--poles", "1:2"], "--p"),
+        (["bound", "cor52", "--p", "3", "--m", "-2", "--g", "1", "--poles", "1:2"], "--m"),
+        (["verify", "thm31-p1", "--ring", "2,2,1", "--max-a", "0"], "--max-a"),
+        (["verify", "thm31-p1", "--ring", "2,2,1", "--max-b", "-1"], "--max-b"),
     ],
 )
 def test_degree_errors_name_their_option(capsys, argv, option):
