@@ -139,7 +139,7 @@ def sum_teichmuller(R: GaloisRing, coeffs, twist=None) -> CharSumResult:
         r = (k - 1) % (q - 1) + 1 if k else 0
         folded[r] = R.add(folded.get(r, R.zero()), c)
     C = _digit_trace_tables(p, l, F.m, 1, None if twist is None else R.element(twist))
-    by_log = C[:, F._exp_a]  # by_log[i, L] = C[i, g^L]
+    by_log = C[:, F.exp]  # by_log[i, L] = C[i, g^L]
     logs = np.arange(q - 1, dtype=np.int64)
     t = np.zeros(q - 1, dtype=np.int64)  # the exponents at g^0, ..., g^(q-2)
     t0 = 0  # the exponent at 0
@@ -194,14 +194,13 @@ def _digit_trace_tables(p: int, l: int, m: int, d: int, twist_key):
             x = R.mul(bi, e)
             row.append(p**i * sum(c * t for c, t in zip(x, basis_tr)) % pl)
         weights.append(row)
-    g = F.exp[1] if F.q > 2 else 1
-    tg = R.teichmuller(g)
+    tg = R.teichmuller(F.generator)
     mul_g = [R.mul(tg, e) for e in basis]  # columns of the linear map
     W = np.array(weights)
     contrib = np.zeros((l, F.q), dtype=np.int64)
     k = 0
     for block in _linear_orbit(list(zip(*mul_g)), R.one(), F.q - 1, pl):
-        contrib[:, F._exp_a[k : k + len(block)]] = (block @ W % pl).T
+        contrib[:, F.exp[k : k + len(block)]] = (block @ W % pl).T
         k += len(block)
     contrib.flags.writeable = False
     return contrib
@@ -448,6 +447,8 @@ class BoundInputs:
             raise ValueError(f"p = {self.p} is not prime")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.genus < 0:
+            raise ValueError(f"genus must be >= 0, got {self.genus}")
         if any(pd.deg <= 0 or pd.v < 0 or pd.v0 < 0 for pd in self.poles):
             raise ValueError("pole entries must be nonnegative with positive degree")
         if any(len(pd.pole_orders) != self.l for pd in self.poles):

@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=prime, default=2)
     sp.add_argument("--l", type=int, default=2)
     sp.add_argument("--m", type=at_least(1), default=1)
-    sp.add_argument("--g", type=int, default=None, help="base genus")
+    sp.add_argument("--g", type=at_least(0), default=None, help="base genus")
     sp.add_argument("--poles", default=None, help='e.g. "1:2" or "1:2,5:1:1"')
     _add_common(sp)
     sp.set_defaults(func=cmd_bound)

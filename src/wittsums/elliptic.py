@@ -108,7 +108,7 @@ class EllipticCurve:
         in odd characteristic (2y + A)^2 = A^2 + 4B, a square exactly when
         its log is even."""
         xs = np.asarray(xs, dtype=np.int64)
-        n, exp, log = big.q - 1, big._exp_a, big._log_a
+        n, exp, log = big.q - 1, big.exp, big.log
         lx = log[xs]
         A = self.poly_A().eval_logs(lx, big, emb)
         B = self.poly_B().eval_logs(lx, big, emb)
@@ -476,7 +476,7 @@ class EllipticFunction:
         if u or v has a pole at any x."""
         if big is None:
             big = self.curve.field
-        lx = big._log_a[xs]
+        lx = big.log[xs]
         out = self.u.eval_logs(lx, big, emb)
         if self.v.is_zero():
             return out

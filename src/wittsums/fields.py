@@ -3,9 +3,10 @@
 Elements are encoded as integers in [0, p^m): the code sum(c_i * p^i)
 stands for the residue class of sum(c_i * x^i) modulo the field's
 irreducible modulus.  All arithmetic goes through exp/log (Zech) tables,
-so individual operations are O(1) after a one-time O(q) table build.  The
-tables come as Python lists for scalar operations and as numpy arrays for
-the `*_array` operations, which act on whole arrays of codes at once.
+so individual operations are O(1) after a one-time O(q) table build.  Each
+table is kept once, as a read-only int64 array that `get_field` shares: the
+`*_array` operations gather from it, and scalar operations index a
+memoryview of the same buffer, which returns Python ints.
 
 The log table maps 0 to -1.  Array evaluation of polynomials works in the
 log domain: with n = q - 1 and lx = log[x], a monomial c x^i (i >= 1) is
@@ -256,20 +257,19 @@ class FiniteField:
             k += len(block)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1)
-        self._exp_a, self._log_a = exp, log
-        self.exp = exp.tolist()
-        self.log = log.tolist()
-        self.generator = self.exp[1] if q > 2 else 1
-        if p == 2:
-            self._zech = self._zech_a = None
-            self._half = None
-        else:
+        exp.flags.writeable = log.flags.writeable = False
+        self.exp, self.log = exp, log
+        # scalar views of the same buffers: indexing one gives a Python int
+        self._expv, self._logv = memoryview(exp), memoryview(log)
+        self.generator = self._expv[1] if q > 2 else 1
+        self.zech = self._zechv = None
+        if p != 2:
             # zech[k] = log(1 + g^k); -1 where 1 + g^k == 0, since log[0] == -1
             c0 = exp % p
-            self._zech_a = log[exp - c0 + (c0 + 1) % p]
-            self._zech = self._zech_a.tolist()
-            self._half = (q - 1) // 2 if q % 2 == 1 else None
-        self._minus_one = self.exp[(q - 1) // 2] if p != 2 and q > 2 else 1
+            self.zech = log[exp - c0 + (c0 + 1) % p]
+            self.zech.flags.writeable = False
+            self._zechv = memoryview(self.zech)
+            self._half = (q - 1) // 2
 
     # -- ring protocol on integer codes ------------------------------------
 
@@ -295,17 +295,17 @@ class FiniteField:
             return b
         if b == 0:
             return a
-        i, j = self.log[a], self.log[b]
+        i, j = self._logv[a], self._logv[b]
         d = (j - i) % (self.q - 1)
-        z = self._zech[d]
+        z = self._zechv[d]
         if z < 0:
             return 0
-        return self.exp[(i + z) % (self.q - 1)]
+        return self._expv[(i + z) % (self.q - 1)]
 
     def neg(self, a: int) -> int:
         if self.p == 2 or a == 0:
             return a
-        return self.exp[(self.log[a] + self._half) % (self.q - 1)]
+        return self._expv[(self._logv[a] + self._half) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -313,12 +313,12 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return self._expv[(self._logv[a] + self._logv[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return self.exp[-self.log[a] % (self.q - 1)]
+        return self._expv[-self._logv[a] % (self.q - 1)]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -330,14 +330,14 @@ class FiniteField:
         if self.p == 2:
             return a ^ b
         n = self.q - 1
-        la, lb = self._log_a[a], self._log_a[b]
-        z = self._zech_a[(lb - la) % n]
-        s = np.where(z < 0, 0, self._exp_a[(la + z) % n])
+        la, lb = self.log[a], self.log[b]
+        z = self.zech[(lb - la) % n]
+        s = np.where(z < 0, 0, self.exp[(la + z) % n])
         return np.where(a == 0, b, np.where(b == 0, a, s))
 
     def mul_array(self, a, b):
         a, b = np.asarray(a), np.asarray(b)
-        prod = self._exp_a[(self._log_a[a] + self._log_a[b]) % (self.q - 1)]
+        prod = self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
         return np.where((a == 0) | (b == 0), 0, prod)
 
     def pow(self, a: int, n: int) -> int:
@@ -347,7 +347,7 @@ class FiniteField:
             if n < 0:
                 raise ZeroDivisionError("0 to a negative power")
             return 0
-        return self.exp[(self.log[a] * n) % (self.q - 1)]
+        return self._expv[(self._logv[a] * n) % (self.q - 1)]
 
     def pth_root(self, a: int) -> int:
         """Unique b with b^p == a."""
@@ -407,7 +407,7 @@ class FieldEmbedding:
             return 1  # unused
         # roots of the small modulus lie in the subfield of order small.q,
         # i.e. among 0 and the powers of h = g^((Q-1)/(q-1))
-        h = big.exp[(big.q - 1) // (small.q - 1)]
+        h = big._expv[(big.q - 1) // (small.q - 1)]
         cand = 1
         mod_codes = [c for c in small.modulus]  # prime-field codes
         for _ in range(small.q - 1):

@@ -176,7 +176,7 @@ class Poly:
         the terms add by `add_array`; `emb` maps the coefficients into `big`."""
         if big is None:
             big = self.field
-        return self.eval_logs(big._log_a[xs], big, emb)
+        return self.eval_logs(big.log[xs], big, emb)
 
     def eval_logs(self, lx, big: FiniteField, emb=None):
         """`eval_array` at the points whose logs are lx.  As log 0 = -1, the
@@ -187,7 +187,7 @@ class Poly:
         acc = None
         for i, c in enumerate(cs[1:], 1):
             if c:
-                term = big._exp_a[(big.log[c] + i % n * lx) % n]
+                term = big.exp[(big.log[c] + i % n * lx) % n]
                 acc = term if acc is None else big.add_array(acc, term)
         if acc is None:
             return np.full(np.shape(lx), c0, dtype=np.int64)

@@ -237,7 +237,7 @@ class RationalFunction:
         time; raises ZeroDivisionError if any point is a pole."""
         if big is None:
             big = self.field
-        return self.eval_logs(big._log_a[xs], big, emb)
+        return self.eval_logs(big.log[xs], big, emb)
 
     def eval_logs(self, lx, big: FiniteField, emb=None):
         """Values at the points whose logs are lx (-1 for the point 0), as
@@ -247,7 +247,7 @@ class RationalFunction:
         den = self.den.eval_logs(lx, big, emb)
         if not den.all():
             raise ZeroDivisionError("inverse of 0")
-        quo = big._exp_a[(big._log_a[num] - big._log_a[den]) % (big.q - 1)]
+        quo = big.exp[(big.log[num] - big.log[den]) % (big.q - 1)]
         return np.where(num == 0, 0, quo)
 
     # -- places and valuations
@@ -421,7 +421,7 @@ class RationalFunctionField(OperatorRing):
 
     def place_mask(self, place: FinitePlace, points, big: FiniteField, emb):
         """Which of `points` (from points_over) lie on a finite place."""
-        return place.poly.eval_logs(big._log_a[points[0]], big, emb) == 0
+        return place.poly.eval_logs(big.log[points[0]], big, emb) == 0
 
     def rational_above(self, place):
         """(ring', place', emb): a rational place above `place` over the

@@ -311,9 +311,14 @@ def test_bound_inputs_validation():
     with pytest.raises(ValueError):
         bound_thm51(bad)
     poles = (PoleData(deg=1, pole_orders=(2, 0)),)
-    for p, m, message in ((4, 1, "not prime"), (3, 0, "m must be >= 1"), (3, -2, "m must be >= 1")):
+    for p, m, g, message in (
+        (4, 1, 1, "not prime"),
+        (3, 0, 1, "m must be >= 1"),
+        (3, -2, 1, "m must be >= 1"),
+        (3, 1, -1, "genus must be >= 0"),
+    ):
         with pytest.raises(ValueError, match=message):
-            BoundInputs(p=p, l=2, m=m, genus=1, poles=poles).validate()
+            BoundInputs(p=p, l=2, m=m, genus=g, poles=poles).validate()
 
 
 @pytest.mark.parametrize("max_a, max_b", [(0, 3), (-1, 3), (3, -1)])

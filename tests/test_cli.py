@@ -389,6 +389,9 @@ def test_singular_curve_exit4(capsys):
         (["verify", "thm31-p1", "--ring", "2,2,1", "--max-a", "0"], 2),
         (["verify", "thm31-p1", "--ring", "2,2,1", "--max-a", "-1"], 2),
         (["verify", "thm31-p1", "--ring", "2,2,1", "--max-b", "-1"], 2),
+        # a genus below 0 is a usage error, not a bound
+        (["bound", "cor52", "--p", "3", "--g", "-1", "--poles", "1:2"], 2),
+        (["bound", "thm51", "--p", "3", "--g", "-2", "--poles", "1:2"], 2),
     ],
 )
 def test_exit_code_table(capsys, argv, expected):
@@ -406,6 +409,7 @@ def test_exit_code_table(capsys, argv, expected):
         (["bound", "cor52", "--p", "3", "--m", "-2", "--g", "1", "--poles", "1:2"], "--m"),
         (["verify", "thm31-p1", "--ring", "2,2,1", "--max-a", "0"], "--max-a"),
         (["verify", "thm31-p1", "--ring", "2,2,1", "--max-b", "-1"], "--max-b"),
+        (["bound", "cor52", "--p", "3", "--g", "-1", "--poles", "1:2"], "--g"),
     ],
 )
 def test_degree_errors_name_their_option(capsys, argv, option):

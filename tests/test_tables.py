@@ -11,6 +11,7 @@ exactly.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -343,13 +344,41 @@ FIELD_GRID = (
 )
 
 
+def scalar_op_results(F, a, b):
+    """Every scalar op of F at a and b (b nonzero)."""
+    return [
+        F.add(a, b), F.sub(a, b), F.neg(a), F.mul(a, b), F.inv(b), F.div(a, b),
+        F.pow(a, 3), F.pow(b, -2), F.pth_root(a), F.frobenius(a), F.trace_to_prime(a),
+    ]
+
+
 @pytest.mark.parametrize("p, m", FIELD_GRID)
 def test_field_tables_match_oracle(p, m):
     F = FiniteField(p, m)
     gen, exp, log, zech = oracle_field_tables(F)
-    assert F.generator == gen
-    assert F.exp == exp and F.log == log and F._zech == zech
-    assert all(type(v) is int for v in F.exp[:3] + F.log[:3])
+    assert F.generator == gen and type(F.generator) is int
+    assert F.exp.tolist() == exp and F.log.tolist() == log
+    assert F.zech is None if zech is None else F.zech.tolist() == zech
+    # the tables are shared through get_field's cache, so they are read-only
+    for table in (F.exp, F.log) if F.zech is None else (F.exp, F.log, F.zech):
+        with pytest.raises(ValueError):
+            table[0] = 1
+    # scalar ops read the same buffers, yet hand back Python ints
+    for a, b in ((gen, exp[-1]), (exp[len(exp) // 2], gen), (0, 1)):
+        assert all(type(v) is int for v in scalar_op_results(F, a, b))
+
+
+@pytest.mark.parametrize("p, m", [(2, 16), (3, 10)])
+def test_field_tables_are_kept_once(p, m):
+    """A field retains its tables once: at most 8 bytes per table entry."""
+    tracemalloc.start()
+    try:
+        F = FiniteField(p, m)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entries = sum(t.size for t in (F.exp, F.log, F.zech) if t is not None)
+    assert retained <= 8 * entries + 64 * 1024
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,6 +395,8 @@ def test_array_ops_match_scalar_ops(pm, data):
     assert F.add_array(A, B).tolist() == [F.add(x, y) for x, y in zip(a, b)]
     assert F.mul_array(A, B).tolist() == [F.mul(x, y) for x, y in zip(a, b)]
     assert F.add_array(A, b[0]).tolist() == [F.add(x, b[0]) for x in a]
+    for x, y in zip(a, b):
+        assert all(type(v) is int for v in scalar_op_results(F, x, y or 1))
     f = Poly(F, b)
     assert f.eval_array(A).tolist() == [f.eval(x) for x in a]
 
