@@ -13,8 +13,8 @@ from .asw import (
     DegenerateInputError,
     ReducedForm,
     artin_reduce_at,
-    candidate_pole_places,
     conductor,
+    denominator_places,
     genus_of_cover,
     is_nondegenerate,
     reduced_pole_order,
@@ -36,7 +36,6 @@ from .charsums import (
     gamma_s,
     gamma_s_rational,
     l_function,
-    power_sums_from_l,
     sum_teichmuller,
     sum_witt,
     sweep_kumar,
@@ -106,8 +105,8 @@ __all__ = [
     "bound_kumar",
     "bound_thm31",
     "bound_thm51",
-    "candidate_pole_places",
     "conductor",
+    "denominator_places",
     "gamma_s",
     "gamma_s_rational",
     "genus_of_cover",
@@ -118,7 +117,6 @@ __all__ = [
     "is_nondegenerate",
     "l_function",
     "places_up_to_degree",
-    "power_sums_from_l",
     "reduced_pole_order",
     "sum_teichmuller",
     "sum_witt",

@@ -7,6 +7,14 @@ A "Witt function" is a WittVector whose coefficient ring is a function field
 only on its image in W_l(k_P((t))), the local Witt-vector conductor
 (Brylinski, Ann. Inst. Fourier 33, 1983), so Artin reduction works on the
 expansions at a rational place above P, with monomial witnesses.
+
+This module alone decides where f can have a pole: `denominator_places`
+walks the base place and the places above each irreducible factor of each
+coordinate's denominator.  `conductor` reduces f once at each of them, and
+that one reduced form serves every truncation (f_0, ..., f_(k-1)) too:
+coordinate k of a Witt sum involves only coordinates <= k, and a reduction
+step on coordinate i changes only coordinates >= i, so the reduced form of
+a truncation is the truncated reduced form.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .galois_rings import get_galois_ring
-from .poly import OperatorRing
+from .poly import OperatorRing, factor
 from .series import MAX_SERIES_PREC, LaurentSeries, PrecisionError
 from .witt import WittParams, WittVector
 
@@ -111,6 +119,17 @@ def artin_reduce_at(f: WittVector, place) -> ReducedForm:
     raise PrecisionError("Artin reduction did not resolve within the precision cap")
 
 
+def _truncation_pole_orders(terms, p: int) -> list:
+    """From a reduced form's terms, the reduced pole order of each
+    truncation (f_0, ..., f_(k-1)), k = 1..l, or 0 where it has no pole:
+    rp_k = max(p * rp_(k-1), -v_(k-1))."""
+    out, rp = [], 0
+    for t in terms:
+        rp = max(p * rp, -t[0] if t and t[0] < 0 else 0)
+        out.append(rp)
+    return out
+
+
 def reduced_pole_order(f: WittVector, place) -> int:
     """rp_P(f) = max_i { -p^(l-1-i) * v_P(f'_i) } over a reduced form f',
     when positive; otherwise the exact sentinel in {-1, 0}.
@@ -122,33 +141,41 @@ def reduced_pole_order(f: WittVector, place) -> int:
     """
     rf = artin_reduce_at(f, place)
     p, l = f.params.p, f.params.l
-    vals = [p ** (l - 1 - i) * -t[0] for i, t in enumerate(rf.terms) if t and t[0] < 0]
-    if vals:
-        return max(vals)
+    rp = _truncation_pole_orders(rf.terms, p)[-1]
+    if rp > 0:
+        return rp
     digits = tuple(t[1] if t and t[0] == 0 else 0 for t in rf.terms)
     R = get_galois_ring(p, l, f.ring.field.m * rf.k)
     tr = R.absolute_trace(R.from_digits(digits))
     return -1 if tr % p**l == 0 else 0
 
 
-def candidate_pole_places(f: WittVector) -> list:
-    """Union of the coordinate pole divisors, in the ring's place order
-    (the base place first)."""
+def denominator_places(f: WittVector) -> list:
+    """The base place and the places above each irreducible factor of each
+    coordinate's denominator, in the ring's place order, each once: every
+    pole of f lies among them."""
     ring = f.ring
-    seen = {}
+    pis = {}
     for c in f.coords:
-        if not c.is_zero():
-            for pl, _ in c.pole_divisor():
-                seen[ring.place_key(pl)] = pl
-    return [pl for _, pl in sorted(seen.items())]
+        for den in c.denominators():
+            for pi, _ in factor(den):
+                pis[(pi.degree, pi.coeffs)] = pi
+    places = [ring.base_place] + [pl for pi in pis.values() for pl in ring.places_above(pi)]
+    return sorted(places, key=ring.place_key)
 
 
 @dataclass
 class Conductor:
-    """Sum over the pole support of (rp_P + 1) * P, with its total degree."""
+    """Sum over the pole support of (rp_P + 1) * P; with the degree of the
+    conductor of each truncation (f_0, ..., f_(k-1)), k = 1..l, the last
+    being f's own."""
 
     entries: tuple  # ((place, rp + 1), ...) with rp > 0
-    degree: int
+    truncation_degrees: tuple
+
+    @property
+    def degree(self) -> int:
+        return self.truncation_degrees[-1]
 
     @property
     def support(self):
@@ -156,14 +183,19 @@ class Conductor:
 
 
 def conductor(f: WittVector) -> Conductor:
+    """The conductor of f and of its truncations, from one Artin reduction
+    at each place `denominator_places` walks; a place without a pole has
+    rp <= 0 for every truncation and adds nothing."""
     entries = []
-    total = 0
-    for pl in candidate_pole_places(f):
-        rp = reduced_pole_order(f, pl)
-        if rp > 0:
-            entries.append((pl, rp + 1))
-            total += (rp + 1) * pl.degree
-    return Conductor(entries=tuple(entries), degree=total)
+    degrees = [0] * f.params.l
+    for pl in denominator_places(f):
+        rps = _truncation_pole_orders(artin_reduce_at(f, pl).terms, f.params.p)
+        for k, rp in enumerate(rps):
+            if rp > 0:
+                degrees[k] += (rp + 1) * pl.degree
+        if rps[-1] > 0:
+            entries.append((pl, rps[-1] + 1))
+    return Conductor(entries=tuple(entries), truncation_degrees=tuple(degrees))
 
 
 def is_nondegenerate(f: WittVector) -> bool:
@@ -191,12 +223,11 @@ def genus_of_cover(f: WittVector, base_genus: int) -> int:
     survives reduction), since f then defines no cyclic cover of degree p^l.
     """
     p, l = f.params.p, f.params.l
+    degrees = conductor(f).truncation_degrees
+    if degrees[0] == 0:
+        raise DegenerateInputError("the first coordinate lies in k + P(K)")
     total = 2 * p**l * (base_genus - 1)
-    for k in range(1, l + 1):
-        degree = conductor(witt_function(f.ring, f.coords[:k])).degree
-        if k == 1 and degree == 0:
-            raise DegenerateInputError("the first coordinate lies in k + P(K)")
-        total += (p**k - p ** (k - 1)) * degree
+    total += sum((p**k - p ** (k - 1)) * dg for k, dg in enumerate(degrees, 1))
     if total % 2 or total // 2 + 1 < 0:
         raise ArithmeticError("conductor formula produced an invalid genus")
     return total // 2 + 1

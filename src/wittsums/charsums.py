@@ -19,9 +19,10 @@ carries: the affine points over F_{q^d} as code arrays (x alone on P^1, x
 and y on an elliptic curve), the mask of a place's points, the places above
 a denominator's factor, and the base place (infinity or the origin).  Each
 coordinate is evaluated over all points at once through the field's array
-operations and the exponents are counted with one bincount.  The base place
-and the places above a denominator's factor are summed once per closed
-point, from one local Artin reduction each.
+operations and the exponents are counted with one bincount.  The places
+`asw.denominator_places` walks (the base place and the places above a
+denominator's factor) are summed once per closed point, from one local
+Artin reduction each.
 
 The Kumar sweep uses the same trace table: at a Teichmuller point x the
 exponent of f = sum [a_k] T^k + p sum [b_k] T^k is a sum of table lookups,
@@ -46,13 +47,13 @@ from .asw import (
     DegenerateInputError,
     artin_reduce_at,
     conductor,
-    is_nondegenerate,
+    denominator_places,
     witt_function,
 )
 from .cyclotomic import CyclotomicInteger
 from .fields import _linear_orbit, extension, get_field, isprime
 from .galois_rings import GaloisRing, get_galois_ring, get_gr_embedding
-from .poly import Poly, PolynomialRing, factor
+from .poly import Poly, PolynomialRing
 from .rational import (
     ENUMERATION_CAP,
     EnumerationCapError,
@@ -209,18 +210,6 @@ def _digit_trace_tables(p: int, l: int, m: int, d: int, twist_key):
 # -- point sums over curves ----------------------------------------------
 
 
-def _denominator_places(fvec):
-    """The places above the irreducible factors of the coordinates'
-    denominators, where an array evaluation could divide by zero (every
-    pole of f off the base place is among them)."""
-    pis = {}
-    for c in fvec.coords:
-        for den in c.denominators():
-            for pi, _ in factor(den):
-                pis[(pi.degree, pi.coeffs)] = pi
-    return [pl for _, pi in sorted(pis.items()) for pl in fvec.ring.places_above(pi)]
-
-
 def _digits_at(fvec, place, twist_key):
     """The Witt digits of f at a place, after reduction at a rational
     place above it, so that a removable pole is gone; with the degree k of
@@ -253,7 +242,7 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None, *, _plac
     point, since P-shifts have character value 1 and the trace is constant
     on Frobenius orbits.  A value in F_{q^k} has d/k times its exponent
     over F_{q^k}.  A twist off Z/p^l does not kill P-shifts, so a pole
-    removed there raises ValueError.  `_places`: _denominator_places(fvec).
+    removed there raises ValueError.  `_places`: denominator_places(fvec).
     """
     _check_degree(d)
     ring = fvec.ring
@@ -276,8 +265,8 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None, *, _plac
         if e != base:
             free &= ~ring.place_mask(e, points, big, emb)
     summed = [] if base in exclusions else [(base, 1)]
-    for pl_ in _denominator_places(fvec) if _places is None else _places:
-        if pl_ in exclusions or d % pl_.degree:
+    for pl_ in denominator_places(fvec) if _places is None else _places:
+        if pl_ == base or pl_ in exclusions or d % pl_.degree:
             continue  # a place of degree e has k_d-points only when e | d
         at = free & ring.place_mask(pl_, points, big, emb)
         if at.any():
@@ -334,11 +323,11 @@ def l_function(fvec: WittVector, terms: int | None = None, twist=None) -> LFunct
     deg D + 2g - 2 and trailing coefficients beyond it are checked to vanish
     exactly.
     """
-    if not is_nondegenerate(fvec):
-        raise DegenerateInputError("the first coordinate lies in k + P(K)")
     p, l = fvec.params.p, fvec.params.l
     g = fvec.ring.genus
     cond = conductor(fvec)
+    if cond.truncation_degrees[0] == 0:
+        raise DegenerateInputError("the first coordinate lies in k + P(K)")
     degree = cond.degree + 2 * g - 2
     n_terms = terms if terms is not None else degree + 2
     if n_terms < degree:
@@ -346,7 +335,7 @@ def l_function(fvec: WittVector, terms: int | None = None, twist=None) -> LFunct
     q = fvec.ring.field.q
     if q**n_terms > ENUMERATION_CAP:  # the largest sum, refused before the first
         raise EnumerationCapError(f"point enumeration size {q}^{n_terms} exceeds cap {ENUMERATION_CAP}")
-    places = _denominator_places(fvec)
+    places = denominator_places(fvec)
     power_sums = [
         sum_witt(fvec, d, exclusions=cond.support, twist=twist, _places=places).value
         for d in range(1, n_terms + 1)
@@ -378,26 +367,16 @@ def l_function(fvec: WittVector, terms: int | None = None, twist=None) -> LFunct
     )
 
 
-def power_sums_from_l(result: LFunctionResult, p: int, l: int):
-    """Recompute S_d from the L-coefficients (log-derivative identity); used
-    as a consistency oracle against the brute-force sums."""
-    n_terms = len(result.power_sums)
-    coeffs = result.coefficients
-    sums = []
-    for n in range(1, n_terms + 1):
-        acc = n * coeffs[n] if n < len(coeffs) else CyclotomicInteger.zero(p, l)
-        for d in range(1, n):
-            c = coeffs[n - d] if n - d < len(coeffs) else CyclotomicInteger.zero(p, l)
-            acc = acc - (sums[d - 1] * c)
-        sums.append(acc)
-    return tuple(sums)
-
-
 # -- bound evaluators -------------------------------------------------------
 
 
 def bound_kumar(p: int, l: int, m: int, degrees) -> float:
-    """(max_i p^(l-1-i) deg f_i - 1) * p^(m/2) for f = f_0 + p f_1 + ...."""
+    """(max_i p^(l-1-i) deg f_i - 1) * p^(m/2) for f = f_0 + p f_1 + ...
+    over GR(p^l, m); raises ValueError for a p that is not prime or m < 1."""
+    if not isprime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     degrees = list(degrees)
     weighted = [p ** (l - 1 - i) * dg for i, dg in enumerate(degrees) if dg > 0]
     if not weighted:
@@ -419,9 +398,10 @@ def bound_thm31(fvec: WittVector, d: int = 1) -> float:
     """(2(g-1) + conductor degree) * p^(m d / 2), g the genus of the base
     curve."""
     _check_degree(d)
-    if not is_nondegenerate(fvec):
+    cond = conductor(fvec)
+    if cond.truncation_degrees[0] == 0:
         raise DegenerateInputError("the first coordinate lies in k + P(K)")
-    return _thm31_coefficient(fvec, conductor(fvec)) * fvec.params.p ** (fvec.ring.field.m * d / 2)
+    return _thm31_coefficient(fvec, cond) * fvec.params.p ** (fvec.ring.field.m * d / 2)
 
 
 @dataclass
@@ -449,7 +429,7 @@ class BoundInputs:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.genus < 0:
             raise ValueError(f"genus must be >= 0, got {self.genus}")
-        if any(pd.deg <= 0 or pd.v < 0 or pd.v0 < 0 for pd in self.poles):
+        if any(pd.deg <= 0 or min(pd.v, pd.v0, *pd.pole_orders) < 0 for pd in self.poles):
             raise ValueError("pole entries must be nonnegative with positive degree")
         if any(len(pd.pole_orders) != self.l for pd in self.poles):
             raise ValueError("each pole needs l pole orders")
@@ -484,6 +464,7 @@ def bound_cor52(inputs: BoundInputs) -> float:
 
     if inputs.l != 2:
         raise ValueError("this bound requires l = 2")
+    inputs.validate()
     p, g = inputs.p, inputs.genus
     B = sum((p * (pd.pole_orders[0] + 1) + 1) * pd.deg for pd in inputs.poles)
     B += (2 * g - 2) * (p + 1) + p * math.ceil((2 * g - 1) / p)
@@ -498,6 +479,7 @@ def bound_cor53(inputs: BoundInputs) -> float:
 
     if inputs.p == 2:
         raise ValueError("this bound requires p odd")
+    inputs.validate()
     p, l, g = inputs.p, inputs.l, inputs.genus
     B = sum((p ** (l - 1) * (pd.pole_orders[0] + 1) + 1) * pd.deg for pd in inputs.poles)
     B += (2 * g - 2) * (p ** (l - 1) + 1) + p ** (l - 1) * math.ceil((2 * g - 1) / p)
@@ -729,9 +711,9 @@ def sweep_thm31_p1(p: int, l: int, m: int, max_a: int, max_b: int, d: int = 1) -
     names, sums, coefficients = [], [], []
     for coords, name in cases:
         fvec = witt_function(K, coords)
-        if not is_nondegenerate(fvec):
-            continue
         cond = conductor(fvec)
+        if cond.truncation_degrees[0] == 0:
+            continue
         coefficients.append(_thm31_coefficient(fvec, cond))
         sums.append(sum_witt(fvec, d, exclusions=cond.support).value.coeffs)
         names.append(f"{name}_d{d}")

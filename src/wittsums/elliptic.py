@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import FiniteField, extension, get_embedding, get_embedding_over
-from .poly import OperatorRing, Poly, factor, power, roots_in_field
+from .poly import OperatorRing, Poly, power, roots_in_field
 from .rational import ENUMERATION_CAP, EnumerationCapError, RationalFunction
 from .series import MAX_SERIES_PREC, LaurentSeries, PrecisionError, eval_poly_at_series
 
@@ -540,23 +540,6 @@ class EllipticFunction:
                 return s.valuation(), s.leading()
             prec *= 2
         raise PrecisionError("valuation did not resolve within the precision cap")
-
-    def pole_divisor(self) -> list[tuple]:
-        """[(place, pole order)] over all poles, deterministic order."""
-        out = []
-        seen_pis = {}
-        for den in self.denominators():
-            for pi, _ in factor(den):
-                seen_pis.setdefault((pi.degree, pi.coeffs), pi)
-        for _, pi in sorted(seen_pis.items()):
-            for pl in self.curve.places_above(pi):
-                v = self.valuation_at(pl)
-                if v < 0:
-                    out.append((pl, -v))
-        v = self.valuation_at(OriginPlace(self.curve))
-        if v < 0:
-            out.append((OriginPlace(self.curve), -v))
-        return out
 
     def __repr__(self):
         return f"EllipticFunction(({self.u}) + ({self.v})*y)"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import EnumerationCapError, FiniteField, extension
-from .poly import OperatorRing, Poly, factor, irreducibles_of_degree, roots_in_field
+from .poly import OperatorRing, Poly, irreducibles_of_degree, roots_in_field
 from .series import LaurentSeries, eval_poly_at_series
 
 ENUMERATION_CAP = 10**7
@@ -293,16 +293,6 @@ class RationalFunction:
         big, emb, root = _residue_root(pi)
         nv, dv, dpi = (g.eval(root, big, emb) for g in (n, d, pi.derivative()))
         return v, big.mul(big.div(nv, dv), big.pow(dpi, v))
-
-    def pole_divisor(self) -> list[tuple]:
-        """[(place, pole order)] over all poles, deterministic order."""
-        out = []
-        for pi, mult in factor(self.den):
-            out.append((FinitePlace(pi), mult))
-        d = self.num.degree - self.den.degree
-        if d > 0:
-            out.append((InfinitePlace(self.field), d))
-        return out
 
     def laurent_at(self, place, prec: int) -> LaurentSeries:
         """Expansion in the standard local parameter at the place.

@@ -17,20 +17,24 @@ from wittsums import (
     RationalFunction,
     RationalFunctionField,
     artin_reduce_at,
-    candidate_pole_places,
+    bound_thm31,
     conductor,
+    denominator_places,
     genus_of_cover,
     is_nondegenerate,
+    l_function,
     reduced_pole_order,
     witt_function,
     wp,
 )
+from wittsums import asw, charsums
 from wittsums.elliptic import AffinePlace, _origin_xy_series
 from wittsums.fields import extension, get_field
 from wittsums.poly import roots_in_field
 from wittsums.series import LaurentSeries
 
 from global_reduction import global_artin_reduce_at
+from pole_places import candidate_pole_places
 
 
 def p1_ring(p=2, m=1):
@@ -124,6 +128,7 @@ def test_candidate_pole_places_order_p1():
     f = witt_function(K, (x**3 + h, x.inverse() + (x + RationalFunction.one(F)).inverse() + h))
     want = [InfinitePlace(F)] + [FinitePlace(Poly(F, c)) for c in ((0, 1), (1, 1), (1, 1, 1))]
     assert candidate_pole_places(f) == want
+    assert denominator_places(f) == want
 
 
 def test_nondegeneracy_examples():
@@ -371,6 +376,159 @@ def test_genus_truncations_match_multiples_elliptic(coeffs, p, lengths):
     for l in lengths:
         _check_cover_total(witt_function(ring, (x, y, x + one)[:l]), 1)
         _check_cover_total(witt_function(ring, (y + x, x, y)[:l]), 1)
+
+
+def _entries_place_by_place(f) -> tuple:
+    """The conductor's entries from each pole place of f reduced on its
+    own, with rp = max_i p^(l-1-i) * -v_i over the negative valuations."""
+    p, l = f.params.p, f.params.l
+    entries = []
+    for pl in candidate_pole_places(f):
+        terms = artin_reduce_at(f, pl).terms
+        rp = max((p ** (l - 1 - i) * -t[0] for i, t in enumerate(terms) if t and t[0] < 0), default=0)
+        if rp > 0:
+            entries.append((pl, rp + 1))
+    return tuple(entries)
+
+
+def _check_one_walk(f):
+    """conductor(f) against its pole places reduced one by one, and each
+    truncation degree against the truncation reduced in full."""
+    c = conductor(f)
+    assert c.entries == _entries_place_by_place(f)
+    assert len(c.truncation_degrees) == f.params.l and c.degree == c.truncation_degrees[-1]
+    for k, degree in enumerate(c.truncation_degrees, 1):
+        truncation = witt_function(f.ring, f.coords[:k])
+        assert degree == conductor(truncation).degree
+        assert degree == sum(n * pl.degree for pl, n in _entries_place_by_place(truncation))
+    return c
+
+
+# (p, m, lengths, vectors per length)
+P1_WALK_CASES = ((2, 1, (1, 2, 3, 4), 4), (2, 2, (2, 3), 3), (3, 1, (1, 2, 3), 4), (5, 1, (1, 2), 4))
+
+
+@pytest.mark.parametrize("p, m, lengths, count", P1_WALK_CASES)
+def test_truncation_degrees_match_truncation_conductors_p1(p, m, lengths, count):
+    """Random vectors with poles at infinity, at a rational place and at a
+    degree-2 place, some of them made removable by adding P(g)."""
+    F = get_field(p, m)
+    K = RationalFunctionField(F)
+    x = RationalFunction.x(F)
+    zero = RationalFunction.zero(F)
+    poles = [x ** (-1), x - RationalFunction.one(F), RationalFunction.from_poly(_irreducible_quadratic(F))]
+    rng = random.Random(f"walk-p1-{p}-{m}")
+    removed = 0
+    for l in lengths:
+        for _ in range(count):
+            f = witt_function(K, [_random_p1_coord(rng, F, rng.sample(poles, 2)) for _ in range(l)])
+            g = witt_function(K, [_random_p1_coord(rng, F, rng.sample(poles, 1))] + [zero] * (l - 1))
+            for vec in (f, f + wp(g)):
+                _check_one_walk(vec)
+            removed += len(candidate_pole_places(f + wp(g))) > len(conductor(f + wp(g)).entries)
+    assert removed
+
+
+@pytest.mark.parametrize("coeffs, p", [(c, p) for c, p, _ in GENUS1_CURVES])
+def test_truncation_degrees_match_truncation_conductors_elliptic(coeffs, p):
+    """Random vectors with poles at the origin, above x = 0 and above an
+    irreducible quadratic in x, some of them made removable by adding P(g)."""
+    E = EllipticCurve(get_field(p, 1), *coeffs)
+    ring = EllipticFunctionField(E)
+    F = ring.field
+    x, y = EllipticFunction.x(E), EllipticFunction.y(E)
+    zero = EllipticFunction.zero(E)
+    quad = EllipticFunction.from_rational(E, RationalFunction.from_poly(_irreducible_quadratic(F)).inverse())
+    monomials = [x, y, x * y, x.inverse() ** p, y / x, quad]
+    rng = random.Random(f"walk-elliptic-{coeffs}")
+    for l in (1, 2, 3):
+        for _ in range(3):
+            coords = []
+            for _ in range(l):
+                acc = EllipticFunction.const(E, rng.randrange(F.q))
+                for mono in rng.sample(monomials, 2):
+                    acc = acc + mono.scale(rng.randrange(1, F.q))
+                coords.append(acc)
+            f = witt_function(ring, coords)
+            g = witt_function(ring, [rng.choice([x.inverse(), quad])] + [zero] * (l - 1))
+            for vec in (f, f + wp(g)):
+                _check_one_walk(vec)
+
+
+def test_one_walk_at_the_regular_point_of_y_over_x():
+    """y/x on y^2 + y = x^3 has a pole at (0, 1) but not at (0, 0): both
+    are walked, only (0, 1) is in the conductor."""
+    E = EllipticCurve(get_field(2, 1), 0, 0, 1, 0, 0)
+    ring = EllipticFunctionField(E)
+    x, y = EllipticFunction.x(E), EllipticFunction.y(E)
+    regular = AffinePlace.from_point(E, E.field, None, 0, 0)
+    pole = AffinePlace.from_point(E, E.field, None, 0, 1)
+    for coords in ((x + y / x, EllipticFunction.zero(E)), (x + y / x, y), (y / x, x, y / x)):
+        f = witt_function(ring, coords)
+        c = _check_one_walk(f)
+        assert denominator_places(f) == [OriginPlace(E), regular, pole]
+        assert pole in c.support and regular not in c.support
+
+
+def _count_reductions(monkeypatch) -> list:
+    """The places of every later call of artin_reduce_at, by asw and by
+    charsums alike."""
+    calls = []
+
+    def counted(f, place):
+        calls.append(place)
+        return artin_reduce_at(f, place)
+
+    monkeypatch.setattr(asw, "artin_reduce_at", counted)
+    monkeypatch.setattr(charsums, "artin_reduce_at", counted)
+    return calls
+
+
+def _walk_cases():
+    """Vectors of length >= 2 whose walked places are all poles: on P^1 at
+    infinity and at 0, and on y^2 + y = x^3 at the origin and at the two
+    places of degree 2 above x^2 + x + 1."""
+    F = get_field(2, 1)
+    K = RationalFunctionField(F)
+    x = RationalFunction.x(F)
+    E = EllipticCurve(F, 0, 0, 1, 0, 0)
+    ex, ey = EllipticFunction.x(E), EllipticFunction.y(E)
+    h = EllipticFunction.from_rational(E, RationalFunction.from_poly(Poly(F, (1, 1, 1))).inverse())
+    return [
+        (witt_function(K, (x**3, x)), 0),
+        (witt_function(K, (x + x.inverse(), x**2, x.inverse() ** 3)), 0),
+        (witt_function(EllipticFunctionField(E), (ey, ex)), 1),
+        (witt_function(EllipticFunctionField(E), (ex + h, ey)), 1),
+    ]
+
+
+def test_genus_l_function_and_bound_reduce_once_per_walked_place(monkeypatch):
+    """genus_of_cover, l_function and bound_thm31 each take one conductor:
+    one Artin reduction at each walked place and none for the degeneracy
+    test or for the truncations.  Here every walked place is excluded from
+    the power sums, so they add none."""
+    for f, base_genus in _walk_cases():
+        walk = denominator_places(f)
+        assert [pl for pl, _ in conductor(f).entries] == walk
+        for run in (lambda: genus_of_cover(f, base_genus), lambda: l_function(f), lambda: bound_thm31(f)):
+            calls = _count_reductions(monkeypatch)
+            run()
+            assert calls == walk
+
+
+def test_l_function_sums_a_walked_place_without_a_pole_once_per_power_sum(monkeypatch):
+    """(x + y/x, 0) on y^2 + y = x^3: the conductor reduces once at each of
+    the three walked places, and each of the 9 power sums reduces once more
+    at (0, 0), where f has no pole."""
+    E = EllipticCurve(get_field(2, 1), 0, 0, 1, 0, 0)
+    x, y = EllipticFunction.x(E), EllipticFunction.y(E)
+    f = witt_function(EllipticFunctionField(E), (x + y / x, EllipticFunction.zero(E)))
+    regular = AffinePlace.from_point(E, E.field, None, 0, 0)
+    walk = denominator_places(f)
+    calls = _count_reductions(monkeypatch)
+    res = l_function(f)
+    assert len(res.power_sums) == 9
+    assert calls == walk + [regular] * 9
 
 
 def _origin_xy_series_fixed_point(curve, prec):

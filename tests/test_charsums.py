@@ -26,7 +26,6 @@ from wittsums import (
     get_field,
     get_galois_ring,
     l_function,
-    power_sums_from_l,
     sum_teichmuller,
     sum_witt,
     theorem12_check,
@@ -231,6 +230,21 @@ def test_l_function_genus1(p, coeffs, fn, degree, pinned):
         assert [c.coeffs for c in res.coefficients[: degree + 1]] == pinned
 
 
+def power_sums_from_l(result, p: int, l: int):
+    """Recompute S_d from the L-coefficients (log-derivative identity); used
+    as a consistency oracle against the brute-force sums."""
+    n_terms = len(result.power_sums)
+    coeffs = result.coefficients
+    sums = []
+    for n in range(1, n_terms + 1):
+        acc = n * coeffs[n] if n < len(coeffs) else CyclotomicInteger.zero(p, l)
+        for d in range(1, n):
+            c = coeffs[n - d] if n - d < len(coeffs) else CyclotomicInteger.zero(p, l)
+            acc = acc - (sums[d - 1] * c)
+        sums.append(acc)
+    return tuple(sums)
+
+
 def test_l_function_log_derivative_consistency():
     for fvec in [p1_fvec(2, 1, 3, None), p1_fvec(3, 1, 2, 1)]:
         p, l = fvec.params.p, fvec.params.l
@@ -259,6 +273,12 @@ def test_bound_kumar_worked_values():
     assert abs(bound_kumar(3, 1, 1, [2]) - 1 * 3**0.5) < 1e-12
     with pytest.raises(ValueError):
         bound_kumar(2, 2, 1, [0, 0])
+    # a ring GR(p^l, m) that does not exist has no bound
+    with pytest.raises(ValueError, match="not prime"):
+        bound_kumar(4, 2, 3, [1, 1])
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            bound_kumar(2, 2, m, [1, 1])
 
 
 def test_bound_thm31_worked_values():
@@ -319,6 +339,23 @@ def test_bound_inputs_validation():
     ):
         with pytest.raises(ValueError, match=message):
             BoundInputs(p=p, l=2, m=m, genus=g, poles=poles).validate()
+
+
+@pytest.mark.parametrize("bound", [bound_thm51, bound_cor52, bound_cor53])
+@pytest.mark.parametrize(
+    "pole, message",
+    [
+        (PoleData(deg=1, pole_orders=(-5, 0)), "nonnegative"),
+        (PoleData(deg=1, pole_orders=(2, -1)), "nonnegative"),
+        (PoleData(deg=0, pole_orders=(2, 0)), "positive degree"),
+        (PoleData(deg=1, pole_orders=(2, 0), v=5), "auxiliary divisor degree"),
+    ],
+)
+def test_every_general_bound_validates_its_poles(bound, pole, message):
+    """Theorem 5.1 and both corollaries refuse a negative pole order, a
+    place of degree 0 and an auxiliary divisor of the wrong degree."""
+    with pytest.raises(ValueError, match=message):
+        bound(BoundInputs(p=3, l=2, m=1, genus=1, poles=(pole,)))
 
 
 @pytest.mark.parametrize("max_a, max_b", [(0, 3), (-1, 3), (3, -1)])

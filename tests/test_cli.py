@@ -392,6 +392,16 @@ def test_singular_curve_exit4(capsys):
         # a genus below 0 is a usage error, not a bound
         (["bound", "cor52", "--p", "3", "--g", "-1", "--poles", "1:2"], 2),
         (["bound", "thm51", "--p", "3", "--g", "-2", "--poles", "1:2"], 2),
+        # a Kumar bound for a ring GR(p^l, m) that does not exist
+        (["bound", "kumar", "--ring", "4,2,3", "--degs", "1,1"], 4),
+        (["bound", "kumar", "--ring", "2,2,0", "--degs", "1,1"], 4),
+        (["bound", "kumar", "--ring", "2,2,-2", "--degs", "1,1"], 4),
+        # a negative pole order, a place of degree 0, or an auxiliary divisor
+        # of the wrong degree: refused by every general bound
+        (["bound", "cor53", "--p", "3", "--g", "1", "--poles", "1:-5"], 4),
+        (["bound", "cor52", "--p", "3", "--g", "1", "--poles", "0:2"], 4),
+        (["bound", "thm51", "--p", "3", "--g", "1", "--poles", "1:-5,0"], 4),
+        (["bound", "cor52", "--p", "3", "--g", "1", "--poles", "1:2:5"], 4),
     ],
 )
 def test_exit_code_table(capsys, argv, expected):

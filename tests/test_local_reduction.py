@@ -14,13 +14,14 @@ import random
 
 import pytest
 
-from wittsums.asw import artin_reduce_at, candidate_pole_places, reduced_pole_order, witt_function
+from wittsums.asw import artin_reduce_at, reduced_pole_order, witt_function
 from wittsums.elliptic import EllipticCurve, EllipticFunction, EllipticFunctionField
 from wittsums.fields import get_field
 from wittsums.poly import Poly, roots_in_field
 from wittsums.rational import RationalFunction, RationalFunctionField
 
 from global_reduction import global_artin_reduce_at, global_reduced_pole_order
+from pole_places import candidate_pole_places
 
 
 def _low(terms):

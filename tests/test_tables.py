@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import numpy as np
 
 from wittsums.asw import (
-    candidate_pole_places,
     conductor,
     witt_function,
     wp,
@@ -62,6 +61,7 @@ from wittsums.rational import (
 from wittsums.witt import WittVector
 
 from global_reduction import global_artin_reduce_at
+from pole_places import candidate_pole_places
 
 # -- oracles -------------------------------------------------------------------
 
