@@ -8,13 +8,14 @@ only on its image in W_l(k_P((t))), the local Witt-vector conductor
 (Brylinski, Ann. Inst. Fourier 33, 1983), so Artin reduction works on the
 expansions at a rational place above P, with monomial witnesses.
 
-This module alone decides where f can have a pole: `denominator_places`
-walks the base place and the places above each irreducible factor of each
-coordinate's denominator.  `conductor` reduces f once at each of them, and
-that one reduced form serves every truncation (f_0, ..., f_(k-1)) too:
-coordinate k of a Witt sum involves only coordinates <= k, and a reduction
-step on coordinate i changes only coordinates >= i, so the reduced form of
-a truncation is the truncated reduced form.
+This module alone decides where f can have a pole, and alone reduces f:
+`denominator_places` walks the base place and the places above each
+irreducible factor of each coordinate's denominator.  `conductor` reduces f
+once at each of them and keeps each reduced form, from which the point sums
+read f's Witt digits there.  It serves every truncation (f_0, ..., f_(k-1))
+too: coordinate k of a Witt sum involves only coordinates <= k, and a step
+on coordinate i changes only coordinates >= i, so the reduced form of a
+truncation is the truncated reduced form.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ class ReducedForm:
     k: int
     terms: tuple
     stepped: bool
+
+    @property
+    def digits(self) -> tuple:
+        """The constant term of each coordinate, or 0 where there is none."""
+        return tuple(t[1] if t and t[0] == 0 else 0 for t in self.terms)
 
 
 def _reduce_locally(ring, place, coords, prec: int) -> tuple:
@@ -144,9 +150,8 @@ def reduced_pole_order(f: WittVector, place) -> int:
     rp = _truncation_pole_orders(rf.terms, p)[-1]
     if rp > 0:
         return rp
-    digits = tuple(t[1] if t and t[0] == 0 else 0 for t in rf.terms)
     R = get_galois_ring(p, l, f.ring.field.m * rf.k)
-    tr = R.absolute_trace(R.from_digits(digits))
+    tr = R.absolute_trace(R.from_digits(rf.digits))
     return -1 if tr % p**l == 0 else 0
 
 
@@ -168,10 +173,11 @@ def denominator_places(f: WittVector) -> list:
 class Conductor:
     """Sum over the pole support of (rp_P + 1) * P; with the degree of the
     conductor of each truncation (f_0, ..., f_(k-1)), k = 1..l, the last
-    being f's own."""
+    being f's own; and f's reduced form at every walked place."""
 
     entries: tuple  # ((place, rp + 1), ...) with rp > 0
     truncation_degrees: tuple
+    reductions: tuple  # ((place, ReducedForm), ...) in walk order
 
     @property
     def degree(self) -> int:
@@ -184,18 +190,18 @@ class Conductor:
 
 def conductor(f: WittVector) -> Conductor:
     """The conductor of f and of its truncations, from one Artin reduction
-    at each place `denominator_places` walks; a place without a pole has
-    rp <= 0 for every truncation and adds nothing."""
-    entries = []
-    degrees = [0] * f.params.l
-    for pl in denominator_places(f):
-        rps = _truncation_pole_orders(artin_reduce_at(f, pl).terms, f.params.p)
+    at each place `denominator_places` walks, kept in `reductions`; a place
+    without a pole has rp <= 0 for every truncation and adds nothing."""
+    entries, degrees = [], [0] * f.params.l
+    reductions = tuple((pl, artin_reduce_at(f, pl)) for pl in denominator_places(f))
+    for pl, rf in reductions:
+        rps = _truncation_pole_orders(rf.terms, f.params.p)
         for k, rp in enumerate(rps):
             if rp > 0:
                 degrees[k] += (rp + 1) * pl.degree
         if rps[-1] > 0:
             entries.append((pl, rps[-1] + 1))
-    return Conductor(entries=tuple(entries), truncation_degrees=tuple(degrees))
+    return Conductor(tuple(entries), tuple(degrees), reductions)
 
 
 def is_nondegenerate(f: WittVector) -> bool:

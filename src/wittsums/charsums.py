@@ -20,9 +20,9 @@ and y on an elliptic curve), the mask of a place's points, the places above
 a denominator's factor, and the base place (infinity or the origin).  Each
 coordinate is evaluated over all points at once through the field's array
 operations and the exponents are counted with one bincount.  The places
-`asw.denominator_places` walks (the base place and the places above a
-denominator's factor) are summed once per closed point, from one local
-Artin reduction each.
+`asw.conductor` walks (the base place and the places above a denominator's
+factor) are summed once per closed point, from the reduced form of f that
+the conductor keeps for each: this module reduces and factors nothing.
 
 The Kumar sweep uses the same trace table: at a Teichmuller point x the
 exponent of f = sum [a_k] T^k + p sum [b_k] T^k is a sum of table lookups,
@@ -43,13 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .asw import (
-    DegenerateInputError,
-    artin_reduce_at,
-    conductor,
-    denominator_places,
-    witt_function,
-)
+from .asw import DegenerateInputError, conductor, witt_function
 from .cyclotomic import CyclotomicInteger
 from .fields import _linear_orbit, extension, get_field, isprime
 from .galois_rings import GaloisRing, get_galois_ring, get_gr_embedding
@@ -210,39 +204,37 @@ def _digit_trace_tables(p: int, l: int, m: int, d: int, twist_key):
 # -- point sums over curves ----------------------------------------------
 
 
-def _digits_at(fvec, place, twist_key):
-    """The Witt digits of f at a place, after reduction at a rational
-    place above it, so that a removable pole is gone; with the degree k of
-    their field F_{q^k} over the base field.  Raises ZeroDivisionError
-    where a pole remains, and ValueError where a pole was removed but the
-    twist b lies off Z/p^l: then psi_b is not trivial on P(W), since
+def _digits_at(place, rf, twist_key, pl_mod):
+    """The Witt digits of f at a place, from its reduced form `rf` there,
+    so that a removable pole is gone.  Raises ZeroDivisionError where a
+    pole remains, and ValueError where a pole was removed but the twist b
+    lies off Z/p^l: then psi_b is not trivial on P(W), since
     Tr(b P(z)) = Tr((F^-1(b) - b) z), and the reduced value is not a value
     of f's class."""
-    rf = artin_reduce_at(fvec, place)
     if twist_key is not None and any(twist_key[1:]) and rf.stepped:
         raise ValueError(
             f"a removable pole at {place!r} outside the exclusions, with a "
-            f"twist off Z/{fvec.params.p ** fvec.params.l}"
+            f"twist off Z/{pl_mod}"
         )
     if any(t and t[0] < 0 for t in rf.terms):
         raise ZeroDivisionError(f"a pole at {place!r} outside the exclusions")
-    digits = [t[1] if t and t[0] == 0 else 0 for t in rf.terms]
-    return digits, rf.k
+    return rf.digits
 
 
-def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None, *, _places=None) -> CharSumResult:
+def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None, *, _cond=None) -> CharSumResult:
     """Exact sum of psi(Tr(f(P))) over the k_d-points of the curve outside
     the excluded places.
 
     Exclusions default to the pole support (places with rp > 0).  The
     affine points off the places above the denominators' factors are
-    evaluated at once, as arrays.  The base place and those places outside
-    the exclusions are summed once per closed point: f is reduced at one
-    rational point of the place, and its value there counts for every
-    point, since P-shifts have character value 1 and the trace is constant
-    on Frobenius orbits.  A value in F_{q^k} has d/k times its exponent
-    over F_{q^k}.  A twist off Z/p^l does not kill P-shifts, so a pole
-    removed there raises ValueError.  `_places`: denominator_places(fvec).
+    evaluated at once, as arrays.  The places the conductor walks (the
+    base place and those places) outside the exclusions are summed once
+    per closed point, from the conductor's reduced form of f there: its
+    value at one rational point above the place counts for every point,
+    since P-shifts have character value 1 and the trace is constant on
+    Frobenius orbits.  A value in F_{q^k} has d/k times its exponent over
+    F_{q^k}.  A twist off Z/p^l does not kill P-shifts, so a pole removed
+    there raises ValueError.  `_cond`: conductor(fvec).
     """
     _check_degree(d)
     ring = fvec.ring
@@ -250,10 +242,9 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None, *, _plac
     p, l = fvec.params.p, fvec.params.l
     m = F.m
     if F.q**d > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"point enumeration size {F.q}^{d} exceeds cap {ENUMERATION_CAP}"
-        )
-    exclusions = list(conductor(fvec).support if exclusions is None else exclusions)
+        raise EnumerationCapError(f"point enumeration size {F.q}^{d} exceeds cap {ENUMERATION_CAP}")
+    cond = conductor(fvec) if _cond is None else _cond
+    exclusions = list(cond.support if exclusions is None else exclusions)
     big, emb = extension(F, d)
     twist_key = tuple(twist) if twist is not None else None
     pl_mod = p**l
@@ -264,25 +255,26 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None, *, _plac
     for e in exclusions:
         if e != base:
             free &= ~ring.place_mask(e, points, big, emb)
-    summed = [] if base in exclusions else [(base, 1)]
-    for pl_ in denominator_places(fvec) if _places is None else _places:
-        if pl_ == base or pl_ in exclusions or d % pl_.degree:
+    for pl_, rf in cond.reductions:
+        if pl_ in exclusions or d % pl_.degree:
             continue  # a place of degree e has k_d-points only when e | d
-        at = free & ring.place_mask(pl_, points, big, emb)
-        if at.any():
+        n = 1  # the base place: one point, off the affine ones
+        if pl_ != base:
+            at = free & ring.place_mask(pl_, points, big, emb)
             free &= ~at
-            summed.append((pl_, int(at.sum())))
-    for pl_, n in summed:
-        digits, k = _digits_at(fvec, pl_, twist_key)
-        contrib_k = _digit_trace_tables(p, l, m, k, twist_key)
-        t = sum(int(contrib_k[i, a]) for i, a in enumerate(digits))
-        counts[t * (d // k) % pl_mod] += n
-    rest = [a[free] for a in points]
+            n = int(at.sum())
+        if n:
+            digits = _digits_at(pl_, rf, twist_key, pl_mod)
+            contrib_k = _digit_trace_tables(p, l, m, rf.k, twist_key)
+            t = sum(int(contrib_k[i, a]) for i, a in enumerate(digits))
+            counts[t * (d // rf.k) % pl_mod] += n
+    if not free.all():
+        points = [a[free] for a in points]
     contrib = _digit_trace_tables(p, l, m, d, twist_key)
-    t = np.zeros(len(rest[0]), dtype=np.int64)
+    t = np.zeros(len(points[0]), dtype=np.int64)
     for i, c in enumerate(fvec.coords):
         if not c.is_zero():  # digit 0 contributes exponent 0
-            t += contrib[i][c.eval_array(*rest, big, emb)]
+            t += contrib[i][c.eval_array(*points, big, emb)]
     counts += np.bincount(t % pl_mod, minlength=pl_mod)
     value = CyclotomicInteger._reduce(p, l, counts.tolist())
     return CharSumResult.from_value(value, int(counts.sum()), exclusions)
@@ -335,11 +327,7 @@ def l_function(fvec: WittVector, terms: int | None = None, twist=None) -> LFunct
     q = fvec.ring.field.q
     if q**n_terms > ENUMERATION_CAP:  # the largest sum, refused before the first
         raise EnumerationCapError(f"point enumeration size {q}^{n_terms} exceeds cap {ENUMERATION_CAP}")
-    places = denominator_places(fvec)
-    power_sums = [
-        sum_witt(fvec, d, exclusions=cond.support, twist=twist, _places=places).value
-        for d in range(1, n_terms + 1)
-    ]
+    power_sums = [sum_witt(fvec, d, twist=twist, _cond=cond).value for d in range(1, n_terms + 1)]
     coeffs = [CyclotomicInteger.one(p, l)]
     for n in range(1, n_terms + 1):
         acc = CyclotomicInteger.zero(p, l)
@@ -373,15 +361,19 @@ def l_function(fvec: WittVector, terms: int | None = None, twist=None) -> LFunct
 def bound_kumar(p: int, l: int, m: int, degrees) -> float:
     """(max_i p^(l-1-i) deg f_i - 1) * p^(m/2) for f = f_0 + p f_1 + ...
     over GR(p^l, m); raises ValueError for a p that is not prime or m < 1."""
-    if not isprime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_ring(p, m)
     degrees = list(degrees)
     weighted = [p ** (l - 1 - i) * dg for i, dg in enumerate(degrees) if dg > 0]
     if not weighted:
         raise ValueError("all components constant: the bound is undefined")
     return (max(weighted) - 1) * p ** (m / 2)
+
+
+def _check_ring(p: int, m: int):
+    if not isprime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
 
 
 def _check_degree(d: int):
@@ -658,6 +650,7 @@ def sweep_kumar(p: int, l: int, m: int, deg0: int, deg1: int) -> SweepResult:
     """
     if l != 2:
         raise ValueError("the sweep is wired for two digits (l = 2)")
+    _check_ring(p, m)
     if deg0 < 0 or deg1 < 0:
         raise ValueError("digit degrees must be nonnegative")
     q = p**m
@@ -695,6 +688,7 @@ def sweep_thm31_p1(p: int, l: int, m: int, max_a: int, max_b: int, d: int = 1) -
     """Conductor-bound check for fvec = (x^a, x^b, 0, ..., 0) of length l
     on P^1, or (x^a) when l = 1; an instance is named by its coordinates,
     as in `(x^2,x^1,0)_d1`."""
+    WittParams(p, l)  # refuses a p that is not prime and an unsupported l
     _check_degree(d)
     if max_a < 1 or max_b < 0:
         raise ValueError(f"need max_a >= 1 and max_b >= 0, got {max_a} and {max_b}")
@@ -715,7 +709,7 @@ def sweep_thm31_p1(p: int, l: int, m: int, max_a: int, max_b: int, d: int = 1) -
         if cond.truncation_degrees[0] == 0:
             continue
         coefficients.append(_thm31_coefficient(fvec, cond))
-        sums.append(sum_witt(fvec, d, exclusions=cond.support).value.coeffs)
+        sums.append(sum_witt(fvec, d, _cond=cond).value.coeffs)
         names.append(f"{name}_d{d}")
     weights = np.array(sums, dtype=np.int64).reshape(-1, p ** (l - 1) * (p - 1)).T
     return SweepResult("%s", (names,), **_verdicts(p, l, weights, coefficients, m * d))

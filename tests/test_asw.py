@@ -2,6 +2,7 @@
 cover genus formula."""
 
 import random
+import sys
 
 import pytest
 
@@ -24,13 +25,14 @@ from wittsums import (
     is_nondegenerate,
     l_function,
     reduced_pole_order,
+    sum_witt,
     witt_function,
     wp,
 )
-from wittsums import asw, charsums
+from wittsums import asw
 from wittsums.elliptic import AffinePlace, _origin_xy_series
 from wittsums.fields import extension, get_field
-from wittsums.poly import roots_in_field
+from wittsums.poly import factor, roots_in_field
 from wittsums.series import LaurentSeries
 
 from global_reduction import global_artin_reduce_at
@@ -471,16 +473,30 @@ def test_one_walk_at_the_regular_point_of_y_over_x():
 
 
 def _count_reductions(monkeypatch) -> list:
-    """The places of every later call of artin_reduce_at, by asw and by
-    charsums alike."""
+    """The places of every later call of artin_reduce_at, through asw or
+    through any other module of the package that holds the name."""
     calls = []
 
     def counted(f, place):
         calls.append(place)
         return artin_reduce_at(f, place)
 
-    monkeypatch.setattr(asw, "artin_reduce_at", counted)
-    monkeypatch.setattr(charsums, "artin_reduce_at", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wittsums" and hasattr(module, "artin_reduce_at"):
+            monkeypatch.setattr(module, "artin_reduce_at", counted)
+    return calls
+
+
+def _count_factors(monkeypatch) -> list:
+    """The polynomials of every later call of factor through asw, the one
+    module that factors denominators."""
+    calls = []
+
+    def counted(pol):
+        calls.append(pol)
+        return factor(pol)
+
+    monkeypatch.setattr(asw, "factor", counted)
     return calls
 
 
@@ -516,19 +532,42 @@ def test_genus_l_function_and_bound_reduce_once_per_walked_place(monkeypatch):
             assert calls == walk
 
 
-def test_l_function_sums_a_walked_place_without_a_pole_once_per_power_sum(monkeypatch):
-    """(x + y/x, 0) on y^2 + y = x^3: the conductor reduces once at each of
-    the three walked places, and each of the 9 power sums reduces once more
-    at (0, 0), where f has no pole."""
+def _y_over_x_case():
+    """(x + y/x, 0) on y^2 + y = x^3, with its regular walked place (0, 0)."""
     E = EllipticCurve(get_field(2, 1), 0, 0, 1, 0, 0)
     x, y = EllipticFunction.x(E), EllipticFunction.y(E)
     f = witt_function(EllipticFunctionField(E), (x + y / x, EllipticFunction.zero(E)))
-    regular = AffinePlace.from_point(E, E.field, None, 0, 0)
+    return f, AffinePlace.from_point(E, E.field, None, 0, 0)
+
+
+def test_l_function_reduces_a_walked_place_without_a_pole_once(monkeypatch):
+    """(x + y/x, 0) on y^2 + y = x^3: the conductor reduces once at each of
+    the three walked places, and the 9 power sums read the digits at
+    (0, 0), where f has no pole, from the conductor's reduced form."""
+    f, regular = _y_over_x_case()
     walk = denominator_places(f)
+    assert regular in walk
     calls = _count_reductions(monkeypatch)
     res = l_function(f)
     assert len(res.power_sums) == 9
-    assert calls == walk + [regular] * 9
+    assert calls == walk
+
+
+def test_denominators_are_factored_once_per_conductor(monkeypatch):
+    """The conductor, l_function and sum_witt with default exclusions each
+    factor the denominators once, in the conductor's walk: 4 calls, for the
+    denominators of u and v in each coordinate u + v y; and each reduces
+    once per walked place."""
+    f, _ = _y_over_x_case()
+    walk = denominator_places(f)
+    assert len(walk) == 3
+    factored = _count_factors(monkeypatch)
+    for run in (lambda: conductor(f), lambda: l_function(f), lambda: sum_witt(f, 3)):
+        factored.clear()
+        reduced = _count_reductions(monkeypatch)
+        run()
+        assert len(factored) == 4
+        assert reduced == walk
 
 
 def _origin_xy_series_fixed_point(curve, prec):

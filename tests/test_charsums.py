@@ -364,6 +364,24 @@ def test_sweep_thm31_p1_empty_range_is_refused(max_a, max_b):
         verify_sweep("thm31-p1", p=2, l=2, m=1, max_a=max_a, max_b=max_b, d=1)
 
 
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("kumar", dict(p=2, l=2, m=0, deg0=1, deg1=1), "m must be >= 1"),
+        ("kumar", dict(p=2, l=2, m=-1, deg0=1, deg1=1), "m must be >= 1"),
+        ("kumar", dict(p=4, l=2, m=2, deg0=1, deg1=1), "not prime"),
+        ("thm31-p1", dict(p=2, l=0, m=1, max_a=2, max_b=1), "length"),
+        ("thm31-p1", dict(p=2, l=-1, m=1, max_a=2, max_b=1), "length"),
+        ("thm31-p1", dict(p=4, l=2, m=1, max_a=2, max_b=1), "not prime"),
+    ],
+)
+def test_sweeps_refuse_rings_that_do_not_exist(family, params, message):
+    """A sweep over GR(p^l, m) needs a prime p, m >= 1 and a supported
+    Witt length, as the bounds do; m = 0 summed nothing and passed."""
+    with pytest.raises(ValueError, match=message):
+        verify_sweep(family, **params)
+
+
 # -- sweeps ---------------------------------------------------------------------
 
 

@@ -402,6 +402,11 @@ def test_singular_curve_exit4(capsys):
         (["bound", "cor52", "--p", "3", "--g", "1", "--poles", "0:2"], 4),
         (["bound", "thm51", "--p", "3", "--g", "1", "--poles", "1:-5,0"], 4),
         (["bound", "cor52", "--p", "3", "--g", "1", "--poles", "1:2:5"], 4),
+        # a sweep over a ring GR(p^l, m) or Witt length that does not exist
+        (["verify", "kumar", "--ring", "2,2,0", "--degs", "1,1"], 4),
+        (["verify", "kumar", "--ring", "2,2,-1", "--degs", "1,1"], 4),
+        (["verify", "thm31-p1", "--ring", "2,0,1"], 4),
+        (["verify", "thm31-p1", "--ring", "2,-1,1"], 4),
     ],
 )
 def test_exit_code_table(capsys, argv, expected):

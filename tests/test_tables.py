@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from wittsums import charsums
 from wittsums.asw import (
     conductor,
     witt_function,
@@ -26,6 +27,7 @@ from wittsums.asw import (
 )
 from wittsums.charsums import (
     _digit_trace_tables,
+    _digits_at,
     _verdicts,
     l_function,
     sum_witt,
@@ -379,6 +381,25 @@ def test_field_tables_are_kept_once(p, m):
         tracemalloc.stop()
     entries = sum(t.size for t in (F.exp, F.log, F.zech) if t is not None)
     assert retained <= 8 * entries + 64 * 1024
+
+
+def test_sum_witt_copies_no_unmasked_point_set():
+    """(x^11, x^3 + x^5) over F_2 at d = 16 excludes only infinity, so the
+    affine points are summed as enumerated, not copied: a warm sum peaks
+    below 7.5 int64 arrays as long as the point set (8.25 with the copy)."""
+    F = get_field(2, 1)
+    x = RationalFunction.x(F)
+    fvec = witt_function(RationalFunctionField(F), [x**11, x**3 + x**5])
+    d, q = 16, 2**16
+    want = sum_witt(fvec, d).value  # builds the tables
+    tracemalloc.start()
+    try:
+        got = sum_witt(fvec, d).value
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 7.5 * 8 * q
 
 
 @settings(max_examples=60, deadline=None)
@@ -877,3 +898,55 @@ def test_sum_witt_p1_removable_pole_twisted_over_f9(d):
     with pytest.raises(ValueError):
         sum_witt(fvec, d, exclusions=excl, twist=R.element((1, 1)))
     assert sum_witt(base, d, exclusions=excl, twist=R.element((1, 1))).term_count == F.q**d
+
+
+def _checked_places(monkeypatch) -> list:
+    """The places whose reduced form every later sum_witt checks and reads
+    digits from."""
+    checked = []
+
+    def recorded(place, rf, twist_key, pl_mod):
+        checked.append(place)
+        return _digits_at(place, rf, twist_key, pl_mod)
+
+    monkeypatch.setattr(charsums, "_digits_at", recorded)
+    return checked
+
+
+def test_sum_witt_leaves_a_pole_without_k_d_points_unchecked(monkeypatch):
+    """1/(x^2 + x + 1) over F_2, nothing excluded: its pole at a degree-2
+    place has no k_d-points for odd d, so the conductor's reduced form
+    there is walked but not summed, and raises nothing."""
+    F = get_field(2, 1)
+    pi = Poly(F, (1, 1, 1))
+    h = RationalFunction.from_poly(pi).inverse()
+    fvec = witt_function(RationalFunctionField(F), [h, RationalFunction.zero(F)])
+    assert FinitePlace(pi) in conductor(fvec).support
+    checked = _checked_places(monkeypatch)
+    for d in (1, 3):
+        checked.clear()
+        res = sum_witt(fvec, d, exclusions=[])
+        assert (res.value, res.term_count) == oracle_sum_p1(fvec, d, [])
+        assert checked == [InfinitePlace(F)]
+    with pytest.raises(ZeroDivisionError):
+        sum_witt(fvec, 2, exclusions=[])
+
+
+def test_sum_witt_leaves_a_twisted_removable_pole_without_k_d_points_unchecked(monkeypatch):
+    """A removable pole at a degree-2 place over F_9 under a twist off Z/9:
+    for odd d the place has no k_d-points, so its reduced form is not
+    checked and no ValueError is raised."""
+    F = get_field(3, 2)
+    K = RationalFunctionField(F)
+    x = RationalFunction.x(F)
+    pi = _quadratic_place_poly(F)
+    h = RationalFunction.from_poly(pi).inverse()
+    fvec = witt_function(K, [x, x**2]) + wp(witt_function(K, [h, RationalFunction.zero(F)]))
+    twist = get_galois_ring(3, 2, 2).element((1, 1))
+    excl = [InfinitePlace(F)]
+    assert FinitePlace(pi) in candidate_pole_places(fvec)
+    checked = _checked_places(monkeypatch)
+    for d in (1, 3):
+        res = sum_witt(fvec, d, exclusions=excl, twist=twist)
+        assert (res.value, res.term_count) == oracle_sum_p1(fvec, d, excl, tuple(twist))
+    assert checked == []
