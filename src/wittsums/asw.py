@@ -29,7 +29,8 @@ from .witt import WittParams, WittVector
 
 
 class DegenerateInputError(ValueError):
-    """The Witt function induces a degenerate (constant-class) character."""
+    """The Witt function induces a degenerate character: one of constant
+    class, or one whose twist lies in p GR."""
 
 
 def witt_function(ring, coords) -> WittVector:

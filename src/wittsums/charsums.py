@@ -45,7 +45,7 @@ import numpy as np
 
 from .asw import DegenerateInputError, conductor, witt_function
 from .cyclotomic import CyclotomicInteger
-from .fields import _linear_orbit, extension, get_field, isprime
+from .fields import _linear_orbit, _mul_matrix, extension, get_field, isprime
 from .galois_rings import GaloisRing, get_galois_ring, get_gr_embedding
 from .poly import Poly, PolynomialRing
 from .rational import (
@@ -178,23 +178,16 @@ def _digit_trace_tables(p: int, l: int, m: int, d: int, twist_key):
         b = tuple(twist_key)
         bb = b if d == 1 else get_gr_embedding(p, l, m, md)(b)
     basis = [tuple(int(t == j) for t in range(md)) for j in range(md)]
-    basis_tr = [R.absolute_trace(e) for e in basis]
-    # weights[j, i] = p^i Tr(sigma^i(b) e_j), through the basis traces
-    weights = []
-    for e in basis:
-        row, bi = [], bb
-        for i in range(l):
-            if i:
-                bi = R.frobenius(bi)
-            x = R.mul(bi, e)
-            row.append(p**i * sum(c * t for c, t in zip(x, basis_tr)) % pl)
-        weights.append(row)
-    tg = R.teichmuller(F.generator)
-    mul_g = [R.mul(tg, e) for e in basis]  # columns of the linear map
-    W = np.array(weights)
+    # sigma^i(b) for i < l; sigma(1) = 1, so only a twist needs the Frobenius
+    conj = [bb]
+    for _ in range(l - 1):
+        conj.append(bb if twist_key is None else R.frobenius(conj[-1]))
+    # W[j, i] = p^i Tr(sigma^i(b) e_j)
+    W = np.array([[p**i * R.absolute_trace(R.mul(e, bi)) % pl for i, bi in enumerate(conj)] for e in basis])
+    mul_g = _mul_matrix(R.teichmuller(F.generator), R.modulus, pl)
     contrib = np.zeros((l, F.q), dtype=np.int64)
     k = 0
-    for block in _linear_orbit(list(zip(*mul_g)), R.one(), F.q - 1, pl):
+    for block in _linear_orbit(mul_g, R.one(), F.q - 1, pl):
         contrib[:, F.exp[k : k + len(block)]] = (block @ W % pl).T
         k += len(block)
     contrib.flags.writeable = False
@@ -314,8 +307,14 @@ def l_function(fvec: WittVector, terms: int | None = None, twist=None) -> LFunct
     since c_n is then not an algebraic integer.  The claimed degree is
     deg D + 2g - 2 and trailing coefficients beyond it are checked to vanish
     exactly.
+
+    A twist b in p GR (residue 0) raises DegenerateInputError: psi_b then
+    has order below p^l (it is trivial at b = 0), so the character's
+    conductor and degree are not f's.
     """
     p, l = fvec.params.p, fvec.params.l
+    if twist is not None and not any(c % p for c in twist):
+        raise DegenerateInputError(f"the twist has residue 0: its character has order below {p**l}")
     g = fvec.ring.genus
     cond = conductor(fvec)
     if cond.truncation_degrees[0] == 0:

@@ -8,6 +8,14 @@ table is kept once, as a read-only int64 array that `get_field` shares: the
 `*_array` operations gather from it, and scalar operations index a
 memoryview of the same buffer, which returns Python ints.
 
+Every power on the way to the tables is a power of a multiplication
+matrix: y -> a*y on Z/n[x]/(f) is an m x m matrix (`_mul_matrix`), raised
+by `_mat_pow_mod` and orbited by `_linear_orbit`.  The modulus is the
+first candidate without a root in F_p that passes Rabin's test, run on
+the F_p-linear Frobenius matrix; the generator is the first candidate c
+with c^((q-1)/r) != 1 for every prime r | q - 1, read off the first column
+of a matrix power.
+
 The log table maps 0 to -1.  Array evaluation of polynomials works in the
 log domain: with n = q - 1 and lx = log[x], a monomial c x^i (i >= 1) is
 the gather exp[(log c + (i mod n) lx) mod n], entries where lx = -1 (the
@@ -73,6 +81,12 @@ def _coeffs_to_code(coeffs, p: int) -> int:
     return code
 
 
+def _dtype_for(m: int, n: int):
+    """int64 while an m-term dot product of residues mod n fits in it, else
+    Python ints (`object`)."""
+    return np.int64 if m * (n - 1) ** 2 < 2**63 else object
+
+
 def _mat_pow_mod(M, n: int, mod: int):
     res = np.eye(len(M), dtype=M.dtype)
     while n:
@@ -89,7 +103,7 @@ def _linear_orbit(M, v, n: int, mod: int):
     first block, and each later block is the previous one times M^s.  A
     caller reduces each block before asking for the next, so no more than
     one block is held at a time."""
-    dtype = np.int64 if len(v) * (mod - 1) ** 2 < 2**63 else object
+    dtype = _dtype_for(len(v), mod)
     M = np.array(M, dtype=dtype)
     s = math.isqrt(n - 1) + 1  # s * s >= n
     block = np.empty((s, len(v)), dtype=dtype)
@@ -100,6 +114,22 @@ def _linear_orbit(M, v, n: int, mod: int):
     for start in range(0, n, s):
         yield block[: n - start]
         block = block @ step % mod
+
+
+def _mul_matrix(a, mod, n: int):
+    """The matrix of y -> a*y on Z/n[x]/(mod), for mod monic of degree m
+    and a of degree < m with coefficients in [0, n): column j is a*x^j, one
+    companion step (multiply by x, reduce the x^m term) from the column
+    before."""
+    m = len(mod) - 1
+    dtype = _dtype_for(m, n)
+    low = np.array(mod[:m], dtype=dtype)
+    M = np.zeros((m, m), dtype=dtype)
+    M[: len(a), 0] = a
+    for j in range(1, m):
+        M[1:, j] = M[:-1, j - 1]
+        M[:, j] = (M[:, j] - M[m - 1, j - 1] * low) % n
+    return M
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
@@ -123,36 +153,30 @@ def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[in
     return res
 
 
-def _poly_pow_mod(a: list[int], n: int, mod: list[int], p: int) -> list[int]:
-    m = len(mod) - 1
-    res = [1] + [0] * (m - 1)
-    base = list(a)
-    while n:
-        if n & 1:
-            res = _poly_mul_mod(res, base, mod, p)
-        base = _poly_mul_mod(base, base, mod, p)
-        n >>= 1
-    return res
-
-
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    # coeffs[i] = coefficient of x^i, monic of degree m
+    """Rabin's test for a monic f of degree m over F_p (coeffs[i] is the
+    coefficient of x^i): x^(p^m) = x mod f, and gcd(x^(p^(m/r)) - x, f) = 1
+    for each prime r | m.  Frobenius y -> y^p is F_p-linear on F_p[x]/(f),
+    with matrix Q whose column j is x^(pj), so x^(p^k) = Q^k x takes k
+    matrix-vector steps."""
     m = len(coeffs) - 1
     if m == 1:
         return True
-    x = [0, 1] + [0] * (m - 2)
-    # x^(p^m) == x mod f
-    t = x
+    X = _mul_matrix([0, 1], coeffs, p)
+    x = X[:, 0]
+    mul_xp = _mul_matrix(_mat_pow_mod(X, p, p)[:, 0], coeffs, p)
+    Q = np.zeros_like(X)
+    Q[0, 0] = 1
+    for j in range(1, m):
+        Q[:, j] = mul_xp @ Q[:, j - 1] % p
+    powers = [x]  # x^(p^k), k = 0..m
     for _ in range(m):
-        t = _poly_pow_mod(t, p, coeffs, p)
-    if t != x:
+        powers.append(Q @ powers[-1] % p)
+    if (powers[m] != x).any():
         return False
     for r in primefactors(m):
-        t = x
-        for _ in range(m // r):
-            t = _poly_pow_mod(t, p, coeffs, p)
         # gcd(x^(p^(m/r)) - x, f) must be 1
-        diff = [(ti - xi) % p for ti, xi in zip(t, x)]
+        diff = ((powers[m // r] - x) % p).tolist()
         if _poly_gcd_is_nonconst(diff, coeffs, p):
             return False
     return True
@@ -188,12 +212,17 @@ def _poly_gcd_is_nonconst(a: list[int], f: list[int], p: int) -> bool:
 @lru_cache(maxsize=128)
 def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Monic irreducible of degree m over F_p, minimal in the base-p
-    integer encoding of its non-leading coefficients."""
+    integer encoding of its non-leading coefficients.  A candidate with a
+    root in F_p is reducible, so Rabin's test runs only on the others."""
     if m == 1:
         return (0, 1)
+    xs = np.arange(p, dtype=np.int64)
     for code in range(p**m):
         coeffs = _code_to_coeffs(code, p, m) + [1]
-        if _is_irreducible(coeffs, p):
+        values = np.zeros(p, dtype=np.int64)
+        for c in reversed(coeffs):
+            values = (values * xs + c) % p
+        if values.all() and _is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise RuntimeError("no irreducible found")  # pragma: no cover
 
@@ -218,11 +247,12 @@ class FiniteField:
         self.char = p
         if modulus is None:
             modulus = smallest_irreducible(p, m)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree m")
-        if not _is_irreducible(list(modulus), p):
-            raise ValueError("modulus is reducible")
+        else:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != m + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree m")
+            if not _is_irreducible(list(modulus), p):
+                raise ValueError("modulus is reducible")
         self.modulus = modulus
         self._build_tables()
 
@@ -230,29 +260,26 @@ class FiniteField:
 
     def _build_tables(self):
         p, m, q = self.p, self.m, self.q
-        mod = list(self.modulus)
-        # find a generator of the multiplicative group
+        mod = self.modulus
+        # find a generator of the multiplicative group: c is one when
+        # c^((q-1)/r) != 1 for every prime r | q - 1, the power read off the
+        # first column of a power of c's multiplication matrix
         factors = primefactors(q - 1) if q > 2 else []
-        gen = None
+        one = [1] + [0] * (m - 1)
+        mul_gen = None
         for cand in range(p if m > 1 else 2, q):
-            cc = _code_to_coeffs(cand, p, m)
-            ok = all(
-                _poly_pow_mod(cc, (q - 1) // r, mod, p) != [1] + [0] * (m - 1)
-                for r in factors
-            )
-            if ok:
-                gen = cc
+            M = _mul_matrix(_code_to_coeffs(cand, p, m), mod, p)
+            if all((_mat_pow_mod(M, (q - 1) // r, p)[:, 0] != one).any() for r in factors):
+                mul_gen = M
                 break
-        if gen is None:  # q == 2
-            gen = [1]
+        if mul_gen is None:  # q == 2
+            mul_gen = _mul_matrix([1], mod, p)
         # powers of the generator as the orbit of 1 under x -> gen * x,
         # a linear map on coefficient vectors (column j = gen * x^j)
-        basis = np.eye(m, dtype=np.int64).tolist()
-        mul_gen = np.array([_poly_mul_mod(gen, e, mod, p) for e in basis]).T
         weights = p ** np.arange(m, dtype=np.int64)
         exp = np.empty(q - 1, dtype=np.int64)
         k = 0
-        for block in _linear_orbit(mul_gen, basis[0], q - 1, p):
+        for block in _linear_orbit(mul_gen, one, q - 1, p):
             exp[k : k + len(block)] = block @ weights
             k += len(block)
         log = np.full(q, -1, dtype=np.int64)

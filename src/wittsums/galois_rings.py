@@ -13,7 +13,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .fields import FiniteField, _poly_mul_mod, _poly_pow_mod, get_embedding, get_field
+from .fields import (
+    FiniteField,
+    _mat_pow_mod,
+    _mul_matrix,
+    _poly_mul_mod,
+    get_embedding,
+    get_field,
+)
 from .witt import WittParams, WittVector
 
 
@@ -29,6 +36,7 @@ class GaloisRing:
         self.modulus = tuple(c % self.pl for c in self.residue_field.modulus)
         self._teich_cache: dict[int, tuple[int, ...]] = {}
         self._frob_basis = None  # images of the basis powers, built on first use
+        self._basis_tr = None  # traces of the basis powers, built on first use
 
     # -- element helpers
 
@@ -71,7 +79,8 @@ class GaloisRing:
     def pow(self, x, n: int):
         if n < 0:
             raise ValueError("negative power of a Galois-ring element")
-        return tuple(_poly_pow_mod(x, n, self.modulus, self.pl))
+        M = _mul_matrix(x, self.modulus, self.pl)
+        return tuple(_mat_pow_mod(M, n, self.pl)[:, 0].tolist())
 
     def scalar_mul(self, n: int, x):
         return tuple(n * a % self.pl for a in x)
@@ -160,15 +169,20 @@ class GaloisRing:
         return x
 
     def absolute_trace(self, x) -> int:
-        """Trace down to Z/p^l, returned as an int in [0, p^l)."""
-        acc = self.zero()
-        cur = x
-        for _ in range(self.m):
-            acc = self.add(acc, cur)
-            cur = self.frobenius(cur)
-        if any(acc[1:]):
-            raise ArithmeticError("trace left the prime subring")
-        return acc[0]
+        """Trace down to Z/p^l, returned as an int in [0, p^l): the dot
+        product of x's coordinates with the traces of the basis powers.
+
+        GR/Z_{p^l} is Galois, so the characteristic polynomial of
+        multiplication by y is the product of T - sigma(y) over the Galois
+        group and the trace of that matrix is the sum of y's conjugates.
+        Tr(x^j), the trace of multiplication by x^j, is built once per
+        ring."""
+        if self._basis_tr is None:
+            basis = ([0] * j + [1] for j in range(self.m))
+            self._basis_tr = [
+                int(_mul_matrix(e, self.modulus, self.pl).trace()) % self.pl for e in basis
+            ]
+        return sum(c * t for c, t in zip(x, self._basis_tr)) % self.pl
 
     def elements(self):
         """Iterate all p^(lm) elements (desk scale only)."""

@@ -199,6 +199,25 @@ def test_l_function_degenerate_rejected():
         l_function(witt_function(K, (RationalFunction.zero(F),) * 2))
 
 
+@pytest.mark.parametrize("twist", [0, 2])
+def test_l_function_refuses_a_twist_with_residue_zero(twist):
+    """psi_b for b in 2 GR(4, 1) has order 2 or 1, so f's conductor 7 is not
+    its own: l_function refuses it, while the point sums still take it."""
+    fvec = p1_fvec(2, 1, 3, None)
+    R = get_galois_ring(2, 2, 1)
+    b = R.from_int(twist)
+    with pytest.raises(ValueError, match="residue 0"):
+        l_function(fvec, terms=7, twist=b)
+    # psi_0 is trivial, and psi_2 = (-1)^Tr: the sum of f0 = x^3 alone
+    for d in (1, 2, 3):
+        E = get_field(2, d)
+        want = E.q if twist == 0 else sum((-1) ** E.trace_to_prime(E.pow(x, 3)) for x in E.elements())
+        assert sum_witt(fvec, d, twist=b).value == CyclotomicInteger.one(2, 2) * want
+    assert sum_teichmuller(R, [0, 0, 0, 1], twist=b).value == sum_teichmuller_pointwise(
+        R, [0, 0, 0, 1], twist=b)
+    assert l_function(fvec, terms=7, twist=R.from_int(3)).claimed_degree == 5
+
+
 def test_l_function_degree5_riemann_hypothesis():
     fvec = p1_fvec(2, 1, 3, None)
     res = l_function(fvec)  # conductor 7, degree 5

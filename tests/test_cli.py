@@ -49,6 +49,14 @@ def test_sum_constants(capsys):
     assert code == 0 and abs(json.loads(out)["sum"]["abs"] - 3.0) < 1e-9
 
 
+def test_sum_takes_a_twist_with_residue_zero(capsys):
+    """Unlike lfun, sum takes a twist in p GR: psi_0 is trivial and psi_2
+    is (-1)^Tr on GR(4, 1), whose Teichmuller set is {0, 1}."""
+    for twist, coeffs in (("0", [2, 0]), ("2", [0, 0])):
+        code, out = run(capsys, ["sum", "--ring", "2,2,1", "--f", "T^3", "--twist", twist])
+        assert code == 0 and json.loads(out)["sum"]["coeffs"] == coeffs
+
+
 def test_lfun_worked_case(capsys):
     code, out = run(
         capsys, ["lfun", "--ring", "2,2,1", "--f-witt", "(x,0)", "--terms", "4"]
@@ -407,6 +415,11 @@ def test_singular_curve_exit4(capsys):
         (["verify", "kumar", "--ring", "2,2,-1", "--degs", "1,1"], 4),
         (["verify", "thm31-p1", "--ring", "2,0,1"], 4),
         (["verify", "thm31-p1", "--ring", "2,-1,1"], 4),
+        # a twist with residue 0: psi_b has order below p^l, so f's conductor
+        # and degree are not its own
+        (["lfun", "--ring", "2,2,1", "--f-witt", "(x^3,0)", "--terms", "7", "--twist", "2"], 4),
+        (["lfun", "--ring", "2,2,1", "--f-witt", "(x^3,0)", "--terms", "7", "--twist", "0"], 4),
+        (["lfun", "--ring", "3,2,1", "--f-witt", "(x,0)", "--terms", "3", "--twist", "6"], 4),
     ],
 )
 def test_exit_code_table(capsys, argv, expected):

@@ -6,8 +6,10 @@ generator, digit trace tables by one Galois-ring multiplication and one
 basis-trace dot product per field element, P^1 and elliptic point sums by
 one scalar evaluation per point, elliptic points by one quadratic
 solved per x, and the Kumar sweep by dense addition and multiplication
-tables of the whole Galois ring.  Each fast path must agree with them
-exactly.
+tables of the whole Galois ring.  `power_oracles` holds the builders that
+the matrix powers replaced: Rabin's test, the modulus search and the
+generator search by polynomial powers, and the Galois-ring trace as a sum
+of Frobenius conjugates.  Each fast path must agree with them exactly.
 """
 
 import random
@@ -46,11 +48,12 @@ from wittsums.fields import (
     _code_to_coeffs,
     _linear_orbit,
     _coeffs_to_code,
+    _is_irreducible,
+    _mul_matrix,
     _poly_mul_mod,
-    _poly_pow_mod,
     get_embedding,
     get_field,
-    primefactors,
+    smallest_irreducible,
 )
 from wittsums.galois_rings import get_galois_ring, get_gr_embedding
 from wittsums.poly import Poly, irreducibles_of_degree
@@ -64,6 +67,13 @@ from wittsums.witt import WittVector
 
 from global_reduction import global_artin_reduce_at
 from pole_places import candidate_pole_places
+from power_oracles import (
+    frobenius_trace,
+    generator_by_powers,
+    is_irreducible_by_powers,
+    poly_pow_mod,
+    smallest_irreducible_by_powers,
+)
 
 # -- oracles -------------------------------------------------------------------
 
@@ -72,19 +82,7 @@ def oracle_field_tables(F):
     """(generator, exp, log, zech) by one polynomial product per element."""
     p, m, q = F.p, F.m, F.q
     mod = list(F.modulus)
-    factors = primefactors(q - 1) if q > 2 else []
-    gen = None
-    for cand in range(p if m > 1 else 2, q):
-        cc = _code_to_coeffs(cand, p, m)
-        ok = all(
-            _poly_pow_mod(cc, (q - 1) // r, mod, p) != [1] + [0] * (m - 1)
-            for r in factors
-        )
-        if ok:
-            gen = cc
-            break
-    if gen is None:  # q == 2
-        gen = [1]
+    gen = generator_by_powers(p, m, mod)
     exp = [0] * (q - 1)
     log = [0] * q
     log[0] = -1
@@ -119,7 +117,7 @@ def oracle_trace_tables(p, l, m, d, twist_key):
     basis_tr = []
     for j in range(md):
         e = tuple(1 if t == j else 0 for t in range(md))
-        basis_tr.append(R.absolute_trace(e))
+        basis_tr.append(frobenius_trace(R, e))
     if twist_key is None:
         bb = R.one()
     else:
@@ -151,7 +149,7 @@ def oracle_kumar_counts(p, l, m, deg0, deg1):
         for j, b in enumerate(elems):
             add[i, j] = index[R.add(a, b)]
             mul[i, j] = index[R.mul(a, b)]
-    tr = np.array([R.absolute_trace(e) for e in elems], dtype=np.int64)
+    tr = np.array([frobenius_trace(R, e) for e in elems], dtype=np.int64)
     teich = np.array(
         [index[R.teichmuller(a)] for a in R.residue_field.elements()], dtype=np.int32
     )
@@ -381,6 +379,73 @@ def test_field_tables_are_kept_once(p, m):
         tracemalloc.stop()
     entries = sum(t.size for t in (F.exp, F.log, F.zech) if t is not None)
     assert retained <= 8 * entries + 64 * 1024
+
+
+# -- matrix powers against polynomial powers ---------------------------------
+
+
+def _monic(p, max_deg):
+    """Every monic polynomial over F_p of degree 1..max_deg."""
+    for m in range(1, max_deg + 1):
+        for code in range(p**m):
+            yield _code_to_coeffs(code, p, m) + [1]
+
+
+@pytest.mark.parametrize("p, max_deg", [(2, 6), (3, 4), (5, 3), (7, 3)])
+def test_irreducibility_matches_rabin_by_powers(p, max_deg):
+    verdicts = [(f, _is_irreducible(f, p)) for f in _monic(p, max_deg)]
+    assert [v for _, v in verdicts] == [is_irreducible_by_powers(f, p) for f, _ in verdicts]
+    assert any(v for f, v in verdicts if len(f) > 2) and not all(v for _, v in verdicts)
+
+
+SEARCH_GRID = [
+    (p, m)
+    for p, top in ((2, 16), (3, 10), (5, 7), (7, 5))
+    for m in range(1, top + 1)
+]
+
+
+@pytest.mark.parametrize("p, m", SEARCH_GRID)
+def test_modulus_and_generator_match_searches_by_powers(p, m):
+    mod = smallest_irreducible(p, m)
+    assert mod == smallest_irreducible_by_powers(p, m)
+    F = get_field(p, m)
+    assert F.modulus == mod
+    assert F.generator == _coeffs_to_code(generator_by_powers(p, m, mod), p)
+
+
+def _ring_elements(R, sample=None):
+    if sample is None:
+        return list(R.elements())
+    rng = random.Random(R.size)
+    return [R.element(rng.randrange(R.pl) for _ in range(R.m)) for _ in range(sample)]
+
+
+@pytest.mark.parametrize(
+    "p, l, m, sample",
+    [(2, 2, 3, None), (2, 3, 2, None), (3, 2, 2, None), (2, 4, 2, None), (3, 3, 1, None),
+     (2, 2, 12, 50)],
+)
+def test_absolute_trace_matches_frobenius_conjugates(p, l, m, sample):
+    R = get_galois_ring(p, l, m)
+    xs = _ring_elements(R, sample)
+    assert [R.absolute_trace(x) for x in xs] == [frobenius_trace(R, x) for x in xs]
+
+
+@pytest.mark.parametrize(
+    "p, l, m, dtype",
+    [(2, 2, 3, np.int64), (3, 2, 2, np.int64), (2, 4, 5, np.int64), (5, 3, 3, np.int64),
+     (211, 4, 2, np.int64),  # 2 (211^4 - 1)^2 just below 2^63
+     (223, 4, 2, object), (8191, 4, 1, object)],
+)
+def test_ring_powers_match_polynomial_powers(p, l, m, dtype):
+    R = get_galois_ring(p, l, m)
+    assert _mul_matrix(R.one(), R.modulus, R.pl).dtype == dtype
+    xs = _ring_elements(R, 12)
+    for n in (0, 1, 2, 5, R.residue_field.q ** (l - 1), 2**61 + 3):
+        got = [R.pow(x, n) for x in xs]
+        assert got == [tuple(poly_pow_mod(x, n, R.modulus, R.pl)) for x in xs]
+        assert all(type(c) is int for y in got for c in y)
 
 
 def test_sum_witt_copies_no_unmasked_point_set():

@@ -1,6 +1,7 @@
 """Witt vector ring arithmetic over finite fields."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -207,7 +208,16 @@ def test_w4_f3_is_z81_sampled():
 
 
 def test_import_leaves_out_sympy():
+    """`import wittsums` loads no top-level package outside the standard
+    library but numpy and wittsums itself: sympy and every other one stays
+    out of import time."""
     root = os.path.dirname(os.path.dirname(wittsums.__file__))
     env = dict(os.environ, PYTHONPATH=root)
-    code = "import sys, wittsums; sys.exit('sympy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = (
+        "import json, sys; before = set(sys.modules); import wittsums; "
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "print(json.dumps(sorted(loaded - set(sys.stdlib_module_names))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == ["numpy", "wittsums"]
