@@ -8,8 +8,10 @@ exactly as cyclotomic integers, from counts of character exponents mod p^l.
 
 A point's exponent is a sum of table lookups, one per Witt digit: the
 per-extension trace table (`_digit_trace_tables`, a numpy array) holds the
-exponent of every digit in every slot, built as the orbit of 1 under
-multiplication by a Teichmuller generator, block by block.
+exponent of every digit in every slot.  It is built from one trace row,
+Tr(b [g]^k) along the orbit of 1 under multiplication by a Teichmuller
+generator [g], block by block; every other slot gathers that row at the
+inverse Frobenius powers of its digits.
 
 A Teichmuller sum folds its coefficients into exponent classes mod q - 1
 and looks up the digits of c [x]^k, (c_i x^(k p^i))_i, in the table of
@@ -127,6 +129,8 @@ def sum_teichmuller(R: GaloisRing, coeffs, twist=None) -> CharSumResult:
     if q > ENUMERATION_CAP:
         raise EnumerationCapError("Teichmuller set exceeds the enumeration cap")
     p, l, pl_mod = R.p, R.l, R.pl
+    if pl_mod > ENUMERATION_CAP:  # the exponent counts, one per residue mod p^l
+        raise EnumerationCapError(f"exponent counts mod {p}^{l} exceed cap {ENUMERATION_CAP}")
     folded = {}
     for k, c in enumerate(coeffs):
         if isinstance(c, int):
@@ -162,11 +166,12 @@ def _digit_trace_tables(p: int, l: int, m: int, d: int, twist_key):
     slot i, for points with coordinates in F_{p^(m*d)}; exponents add mod
     p^l across slots because the trace is additive.
 
-    Digit a in slot i stands for p^i [a^(p^-i)], so by Frobenius invariance
-    of the trace its exponent is p^i Tr(sigma^i(b) [a]), b the twist.  With
-    a = g^k, [a] = [g]^k is the orbit of 1 under multiplication by [g], a
-    linear map over Z/p^l, and Tr(c y) is linear in the coordinates of y:
-    each block of the orbit reduces to its l exponents at once.
+    Digit a in slot i stands for p^i [a^(p^-i)], so its exponent is
+    p^i Tr(b [a^(p^-i)]), b the twist: one trace row tr[k] = Tr(b [g]^k)
+    serves every slot, read at k p^(-i) for a = g^k.  [g]^k is the orbit of
+    1 under multiplication by [g], a linear map over Z/p^l, and Tr(b y) is
+    the dot product of y's coordinates with w[j] = Tr(b x^j): each block of
+    the orbit reduces to its traces at once.
     """
     md = m * d
     F = get_field(p, md)
@@ -177,19 +182,21 @@ def _digit_trace_tables(p: int, l: int, m: int, d: int, twist_key):
     else:
         b = tuple(twist_key)
         bb = b if d == 1 else get_gr_embedding(p, l, m, md)(b)
-    basis = [tuple(int(t == j) for t in range(md)) for j in range(md)]
-    # sigma^i(b) for i < l; sigma(1) = 1, so only a twist needs the Frobenius
-    conj = [bb]
-    for _ in range(l - 1):
-        conj.append(bb if twist_key is None else R.frobenius(conj[-1]))
-    # W[j, i] = p^i Tr(sigma^i(b) e_j)
-    W = np.array([[p**i * R.absolute_trace(R.mul(e, bi)) % pl for i, bi in enumerate(conj)] for e in basis])
+    # column j of the multiplication matrix of b is b x^j
+    mul_b = _mul_matrix(bb, R.modulus, pl)
+    w = np.array([R.absolute_trace(col) for col in mul_b.T.tolist()], dtype=mul_b.dtype)
     mul_g = _mul_matrix(R.teichmuller(F.generator), R.modulus, pl)
-    contrib = np.zeros((l, F.q), dtype=np.int64)
+    n = F.q - 1
+    tr = np.empty(n, dtype=np.int64)
     k = 0
-    for block in _linear_orbit(mul_g, R.one(), F.q - 1, pl):
-        contrib[:, F.exp[k : k + len(block)]] = (block @ W % pl).T
+    for block in _linear_orbit(mul_g, R.one(), n, pl):
+        tr[k : k + len(block)] = block @ w % pl
         k += len(block)
+    contrib = np.zeros((l, F.q), dtype=np.int64)
+    logs = np.arange(n, dtype=np.int64)
+    for i in range(l):
+        # reduced mod p^(l-i) first, so p^i times it stays below p^l
+        contrib[i, F.exp] = p**i * (tr[logs * pow(p, -i % md, n) % n] % p ** (l - i))
     contrib.flags.writeable = False
     return contrib
 
@@ -236,6 +243,8 @@ def sum_witt(fvec: WittVector, d: int = 1, exclusions=None, twist=None, *, _cond
     m = F.m
     if F.q**d > ENUMERATION_CAP:
         raise EnumerationCapError(f"point enumeration size {F.q}^{d} exceeds cap {ENUMERATION_CAP}")
+    if p**l > ENUMERATION_CAP:  # the exponent counts, one per residue mod p^l
+        raise EnumerationCapError(f"exponent counts mod {p}^{l} exceed cap {ENUMERATION_CAP}")
     cond = conductor(fvec) if _cond is None else _cond
     exclusions = list(cond.support if exclusions is None else exclusions)
     big, emb = extension(F, d)

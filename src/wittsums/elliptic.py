@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import FiniteField, extension, get_embedding, get_embedding_over
+from .fields import FiniteField, extension, get_embedding_over
 from .poly import OperatorRing, Poly, power, roots_in_field
 from .rational import ENUMERATION_CAP, EnumerationCapError, RationalFunction
 from .series import MAX_SERIES_PREC, LaurentSeries, PrecisionError, eval_poly_at_series
@@ -545,15 +545,6 @@ class EllipticFunction:
         return f"EllipticFunction(({self.u}) + ({self.v})*y)"
 
 
-def _descend_code(big: FiniteField, small: FiniteField, code: int) -> int:
-    """Invert a field embedding on a code known to lie in the small field."""
-    emb = get_embedding(small.p, small.m, big.m)
-    for a in small.elements():
-        if emb(a) == code:
-            return a
-    raise ValueError("code does not lie in the subfield")
-
-
 class EllipticFunctionField(OperatorRing):
     """The function field of a curve as a Witt coefficient ring, with the
     curve's adapter: the base place is the origin, the affine points are
@@ -599,15 +590,19 @@ class EllipticFunctionField(OperatorRing):
 
     def rational_above(self, place):
         """(ring', place', emb): a rational place above `place`, over the
-        constant-field extension that holds its points, with the embedding
-        of the constants (None when no extension is needed)."""
-        if place.degree == 1:
-            if isinstance(place, AffinePlace) and place.ext_degree != 1:
-                # a rational point recorded over an extension field: descend
-                x0, y0 = (_descend_code(place.big, self.field, c) for c in place.representative)
-                place = AffinePlace.from_point(self.curve, self.field, None, x0, y0)
+        constant-field extension by its degree e, with the embedding of the
+        constants (None when e = 1).  A place recorded over a field larger
+        than F_{q^e} is first descended to F_{q^e}, through the embedding
+        that agrees with the curve's constants."""
+        if not isinstance(place, AffinePlace) or place.ext_degree == 1:
             return self, place, None
-        big, emb = extension(self.field, place.ext_degree)
-        curve = self.curve.map_field(emb)
+        e = place.degree
         x0, y0 = place.representative
-        return EllipticFunctionField(curve), AffinePlace.from_point(curve, big, None, x0, y0), emb
+        if place.ext_degree > e:
+            F = self.field
+            up = get_embedding_over(F.p, F.m, F.m * e, place.big.m)
+            down = {up(a): a for a in range(F.q**e)}
+            x0, y0 = down[x0], down[y0]
+        big, emb = extension(self.field, e)
+        ring = self if emb is None else EllipticFunctionField(self.curve.map_field(emb))
+        return ring, AffinePlace.from_point(ring.curve, big, None, x0, y0), emb

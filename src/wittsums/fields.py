@@ -386,15 +386,6 @@ class FiniteField:
     def elements(self):
         return range(self.q)
 
-    def trace_to_prime(self, a: int) -> int:
-        """Absolute trace down to F_p, returned as an int in [0, p)."""
-        t = 0
-        cur = a
-        for _ in range(self.m):
-            t = self.add(t, cur)
-            cur = self.pow(cur, self.p)
-        return t  # codes of prime-field elements are the ints 0..p-1
-
     def coeffs(self, a: int) -> list[int]:
         return _code_to_coeffs(a, self.p, self.m)
 

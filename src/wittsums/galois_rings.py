@@ -21,7 +21,7 @@ from .fields import (
     get_embedding,
     get_field,
 )
-from .witt import WittParams, WittVector
+from .witt import WittParams
 
 
 class GaloisRing:
@@ -35,7 +35,6 @@ class GaloisRing:
         self.residue_field: FiniteField = get_field(p, m)
         self.modulus = tuple(c % self.pl for c in self.residue_field.modulus)
         self._teich_cache: dict[int, tuple[int, ...]] = {}
-        self._frob_basis = None  # images of the basis powers, built on first use
         self._basis_tr = None  # traces of the basis powers, built on first use
 
     # -- element helpers
@@ -99,10 +98,6 @@ class GaloisRing:
             t = self._teich_cache[a] = self.pow(y, self.residue_field.q ** (self.l - 1))
         return t
 
-    def teichmuller_set(self):
-        """All p^m fixed points of x -> x^(p^m), ordered by field code."""
-        return [self.teichmuller(a) for a in self.residue_field.elements()]
-
     def witt_digits(self, x) -> tuple[int, ...]:
         """Witt coordinates (a_0, ..., a_{l-1}) of x under the canonical
         isomorphism w: GR(p^l, m) -> W_l(F_{p^m}).
@@ -135,38 +130,7 @@ class GaloisRing:
             ppow *= self.p
         return acc
 
-    def to_witt(self, x) -> WittVector:
-        return WittVector(WittParams(self.p, self.l), self.residue_field, self.witt_digits(x))
-
-    def from_witt(self, w: WittVector):
-        if w.ring != self.residue_field:
-            raise ValueError("Witt vector over a different residue field")
-        return self.from_digits(w.coords)
-
-    # -- Frobenius and traces
-
-    def frobenius(self, x, times: int = 1):
-        """The Frobenius generating Gal(GR/Z_{p^l}): p-th power on digits.
-
-        It fixes Z/p^l, so it is the Z/p^l-linear map sending the basis
-        power x^j to phi^j, phi the image of x; phi is found once, on the
-        digits of x."""
-        if self._frob_basis is None:
-            F = self.residue_field
-            gen = self.element([0, 1]) if self.m > 1 else self.one()
-            phi = self.from_digits(F.frobenius(a) for a in self.witt_digits(gen))
-            basis = [self.one()]
-            for _ in range(self.m - 1):
-                basis.append(self.mul(basis[-1], phi))
-            self._frob_basis = basis
-        pl = self.pl
-        for _ in range(times % self.m):  # the Frobenius has order m
-            acc = [0] * self.m
-            for c, image in zip(x, self._frob_basis):
-                if c:
-                    acc = [(a + c * b) % pl for a, b in zip(acc, image)]
-            x = tuple(acc)
-        return x
+    # -- traces
 
     def absolute_trace(self, x) -> int:
         """Trace down to Z/p^l, returned as an int in [0, p^l): the dot

@@ -5,7 +5,8 @@ These are the builders the library used before every power became a power
 of a multiplication matrix: square-and-multiply on coefficient lists,
 Rabin's irreducibility test by repeated p-th powers, the first-fit searches
 for a modulus and a generator on top of them, and the Galois-ring trace as
-the sum of the m Frobenius conjugates.
+the sum of the m Frobenius conjugates, each conjugate found through the
+Witt digits.
 """
 
 from wittsums.fields import _code_to_coeffs, _poly_gcd_is_nonconst, _poly_mul_mod, primefactors
@@ -67,13 +68,19 @@ def generator_by_powers(p, m, mod):
     return [1]
 
 
+def oracle_frobenius(R, x, times=1):
+    """The Frobenius through the Witt digits of x, one lift per digit."""
+    F = R.residue_field
+    return R.from_digits(F.frobenius(a, times) for a in R.witt_digits(x))
+
+
 def frobenius_trace(R, x):
     """Tr(x) down to Z/p^l as the sum of x's m Frobenius conjugates; the
     sum must lie in the prime subring."""
     acc = R.zero()
     for _ in range(R.m):
         acc = R.add(acc, x)
-        x = R.frobenius(x)
+        x = oracle_frobenius(R, x)
     if any(acc[1:]):
         raise ArithmeticError("trace left the prime subring")
     return acc[0]

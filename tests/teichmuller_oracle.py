@@ -26,7 +26,7 @@ def sum_teichmuller_pointwise(R, coeffs, twist=None) -> CyclotomicInteger:
     coeffs = [R.from_int(c) if isinstance(c, int) else c for c in coeffs]
     psi = additive_character(R, twist)
     acc = CyclotomicInteger.zero(R.p, R.l)
-    for x in R.teichmuller_set():
+    for x in (R.teichmuller(a) for a in R.residue_field.elements()):
         val = R.zero()
         for c in reversed(coeffs):
             val = R.add(R.mul(val, x), c)

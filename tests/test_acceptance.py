@@ -108,9 +108,11 @@ def test_criterion_02_galois_ring_isomorphism():
         else:
             rng = random.Random(p + l + m)
             pairs = [(rng.choice(els), rng.choice(els)) for _ in range(100)]
+        params = WittParams(p, l)
         for x, y in pairs:
-            wx, wy = R.to_witt(x), R.to_witt(y)
-            assert R.from_witt(wx) == x
+            wx = WittVector(params, R.residue_field, R.witt_digits(x))
+            wy = WittVector(params, R.residue_field, R.witt_digits(y))
+            assert R.from_digits(wx.coords) == x
             assert (wx + wy).coords == R.witt_digits(R.add(x, y))
             assert (wx * wy).coords == R.witt_digits(R.mul(x, y))
             pairs_checked += 1

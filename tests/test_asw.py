@@ -31,7 +31,7 @@ from wittsums import (
 )
 from wittsums import asw
 from wittsums.elliptic import AffinePlace, _origin_xy_series
-from wittsums.fields import extension, get_field
+from wittsums.fields import extension, get_embedding_over, get_field
 from wittsums.poly import factor, roots_in_field
 from wittsums.series import LaurentSeries
 
@@ -269,6 +269,34 @@ def test_reduction_at_a_rational_place_recorded_over_an_extension():
     f = witt_function(ring, (g**2 + g**3, g))
     assert artin_reduce_at(f, up).place == down
     assert reduced_pole_order(f, up) == reduced_pole_order(f, down) > 0
+
+
+@pytest.mark.parametrize(
+    "p, m, coeffs",
+    [(2, 1, (0, 0, 1, 0, 0)),  # y^2 + y = x^3 over F_2
+     (3, 2, (0, 0, 0, 1, 3))],  # y^2 = x^3 + x + g over F_9: F_81 -> F_{3^8} is no composite
+)
+def test_reduction_at_a_place_recorded_over_a_larger_field(p, m, coeffs):
+    """Every degree-2 place, given by its points over F_{q^2} and by the
+    same points pushed up to F_{q^4}, reduces over F_{q^2} at one of its points
+    with the same reduced pole orders.  Over F_9 the push-up, the embedding
+    over F_9, is not get_embedding(3, 4, 8)."""
+    E = EllipticCurve(get_field(p, m), *coeffs)
+    ring = EllipticFunctionField(E)
+    big, emb = extension(E.field, 4)
+    push = get_embedding_over(p, m, 2 * m, 4 * m)
+    x, y = EllipticFunction.x(E), EllipticFunction.y(E)
+    fs = [witt_function(ring, c) for c in [(x,), (x, x - x), (y, x), (x * y, y), (x, y, x)]]
+    downs = [pl for pl in E.places_up_to_degree(2) if pl.degree == 2]
+    assert downs
+    for down in downs:
+        x0, y0 = down.representative
+        up = AffinePlace.from_point(E, big, emb, push(x0), push(y0))
+        assert up.degree == 2 and up.ext_degree == 4
+        for f in fs:
+            rf = artin_reduce_at(f, up)
+            assert rf.k == 2 and rf.place.representative in down.orbit
+            assert reduced_pole_order(f, up) == reduced_pole_order(f, down)
 
 
 # -- reference implementations for the fast paths -----------------------------

@@ -420,6 +420,12 @@ def test_singular_curve_exit4(capsys):
         (["lfun", "--ring", "2,2,1", "--f-witt", "(x^3,0)", "--terms", "7", "--twist", "2"], 4),
         (["lfun", "--ring", "2,2,1", "--f-witt", "(x^3,0)", "--terms", "7", "--twist", "0"], 4),
         (["lfun", "--ring", "3,2,1", "--f-witt", "(x,0)", "--terms", "3", "--twist", "6"], 4),
+        # exponent counts mod p^l above the enumeration cap: refused before
+        # the p^l counts are allocated
+        (["sum", "--ring", "8191,4,1", "--f", "T"], 3),
+        (["sum", "--ring", "8191,2,1", "--f", "T"], 3),
+        (["sum", "--ring", "101,4,1", "--f", "T"], 3),
+        (["verify", "thm31-p1", "--ring", "8191,2,1", "--max-a", "1", "--max-b", "0"], 3),
     ],
 )
 def test_exit_code_table(capsys, argv, expected):

@@ -32,6 +32,7 @@ from wittsums.charsums import (
     _digits_at,
     _verdicts,
     l_function,
+    sum_teichmuller,
     sum_witt,
     sweep_kumar,
 )
@@ -58,6 +59,8 @@ from wittsums.fields import (
 from wittsums.galois_rings import get_galois_ring, get_gr_embedding
 from wittsums.poly import Poly, irreducibles_of_degree
 from wittsums.rational import (
+    ENUMERATION_CAP,
+    EnumerationCapError,
     FinitePlace,
     InfinitePlace,
     RationalFunction,
@@ -348,7 +351,7 @@ def scalar_op_results(F, a, b):
     """Every scalar op of F at a and b (b nonzero)."""
     return [
         F.add(a, b), F.sub(a, b), F.neg(a), F.mul(a, b), F.inv(b), F.div(a, b),
-        F.pow(a, 3), F.pow(b, -2), F.pth_root(a), F.frobenius(a), F.trace_to_prime(a),
+        F.pow(a, 3), F.pow(b, -2), F.pth_root(a), F.frobenius(a),
     ]
 
 
@@ -467,6 +470,26 @@ def test_sum_witt_copies_no_unmasked_point_set():
     assert peak <= 7.5 * 8 * q
 
 
+@pytest.mark.parametrize("p, l", [(8191, 2), (101, 4)])
+def test_sums_refuse_exponent_counts_above_the_cap_before_allocating(p, l):
+    """With p^l above the enumeration cap both sums raise before the p^l
+    exponent counts (8 bytes each) are allocated."""
+    R = get_galois_ring(p, l, 1)
+    F = R.residue_field
+    x, zero = RationalFunction.x(F), RationalFunction.zero(F)
+    fvec = witt_function(RationalFunctionField(F), [x] + [zero] * (l - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError, match="exponent counts"):
+            sum_teichmuller(R, [0, 1])
+        with pytest.raises(EnumerationCapError, match="exponent counts"):
+            sum_witt(fvec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ENUMERATION_CAP
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     pm=st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (5, 2), (7, 2)]),
@@ -502,6 +525,11 @@ TRACE_CASES = [
     (2, 2, 1, 16, None),
     (3, 2, 2, 2, _twist(3, 2, 2, (2, 0))),  # twist in Z/p^l, embedded
     (2, 3, 2, 2, _twist(2, 3, 2, (3, 5))),  # twist off the prime subring
+    (2, 4, 4, 1, _twist(2, 4, 4, (3, 5, 1, 7))),  # slots 1-3 read at three inverse Frobenius powers
+    (2, 4, 1, 2, _twist(2, 4, 1, (3,))),  # md = 2 < l: slot 3 reads at p^(-3 mod 2)
+    (5, 3, 1, 1, _twist(5, 3, 1, (7,))),  # md = 1: every slot reads slot 0's row
+    (2, 3, 1, 1, _twist(2, 3, 1, (3,))),  # q = 2: one nonzero digit
+    (8191, 4, 1, 1, None),  # p^l near 2^52, on object-dtype ring matrices
 ]
 
 
